@@ -226,11 +226,11 @@ def test_tower_score_single_compiled(benchmark):
 def test_tower_score_microbatch_compiled(benchmark):
     """A serving micro-batch (32 rows) through the compiled plan.
 
-    This is the configuration ``repro.serving.BatchScorer`` produces under
-    concurrent traffic.  Measured ≈10 µs/row f64 (≈5 µs/row f32) vs the
-    ≈54 µs/row single-request no_grad baseline — the micro-batched compiled
-    path clears the ≥3x acceptance target with ≈5x in float64 alone
-    (≈10x in the float32 serving configuration).
+    This is the configuration a ``repro.serving.ScorerPool`` worker
+    produces under concurrent traffic.  Measured ≈10 µs/row f64
+    (≈5 µs/row f32) vs the ≈54 µs/row single-request no_grad baseline —
+    the micro-batched compiled path clears the ≥3x acceptance target with
+    ≈5x in float64 alone (≈10x in the float32 serving configuration).
     """
     tower = _make_score_tower()
     plan = tower.compiled()

@@ -25,7 +25,7 @@ Semantics
 * Returned arrays are **owned by the plan** and overwritten by the next
   call with the same batch size — ``.copy()`` them to retain results.
 * Plans are **not thread-safe** (the scratch buffers are shared state);
-  :class:`repro.serving.BatchScorer` serializes calls through one worker.
+  each :class:`repro.serving.ScorerPool` worker owns its own plan.
 * :class:`~repro.nn.rnn.GRU` compiles to its serving-relevant output — the
   final hidden state ``(batch, hidden)`` — rather than the per-step output
   list the Tensor path returns.  ``BiGRU`` returns the same concatenated

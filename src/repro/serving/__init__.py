@@ -4,12 +4,12 @@ Training produces models; this package serves them: checkpoint
 persistence (``state_dict`` → ``.npz`` + JSON config, plus the
 ``environment.json`` bundle a checkpoint directory is served from), a
 versioned :class:`ModelRegistry` with hot reload-from-directory, the
-micro-batching :class:`BatchScorer` and its N-worker
-:class:`ScorerPool` generalization (latency/throughput stats included),
-a :class:`RankingService` composing querycat intent → model selection →
-pooled scoring → top-k, and a three-layer wire stack: connection
-transports (:mod:`repro.serving.transport` — the default selector event
-loop plus the threaded fallback), incremental HTTP/1.1 framing
+micro-batching N-worker :class:`ScorerPool` with its adaptive batch cap
+(latency/throughput stats included), a :class:`RankingService`
+composing querycat intent → model selection → pooled scoring → top-k,
+and a three-layer wire stack: connection transport
+(:mod:`repro.serving.transport` — a selector event loop, optionally
+sharded across several loops on one port), incremental HTTP/1.1 framing
 (:mod:`repro.serving.protocol`), and transport-agnostic JSON dispatch
 (:mod:`repro.serving.handlers`), composed by the :class:`ServingServer`
 gateway (``python -m repro.serving.server``) with the
@@ -54,13 +54,11 @@ from .metrics import LatencyHistogram, log_spaced_buckets
 from .procscorer import ProcessScorerError, ProcessScorerHost
 from .protocol import ProtocolError, RequestParser
 from .registry import ModelRegistry, RegisteredModel
-from .scorer import (BatchScorer, DeadlineExceeded, PoolOverloaded,
-                     ScorerPool, ScorerStats, concat_batches,
-                     latency_percentile)
+from .scorer import (DeadlineExceeded, PoolOverloaded, ScorerPool,
+                     ScorerStats, concat_batches, latency_percentile)
 from .server import ApiError, ServingServer, serve_from_directory
 from .service import RankingResponse, RankingService, candidate_batch
-from .transport import (GatewayCounters, SelectorTransport, ShardedTransport,
-                        ThreadedTransport)
+from .transport import GatewayCounters, SelectorTransport, ShardedTransport
 
 __all__ = [
     "save_checkpoint",
@@ -74,7 +72,6 @@ __all__ = [
     "ENVIRONMENT_FILENAME",
     "ModelRegistry",
     "RegisteredModel",
-    "BatchScorer",
     "ScorerPool",
     "ScorerStats",
     "PoolOverloaded",
@@ -102,7 +99,6 @@ __all__ = [
     "GatewayCounters",
     "SelectorTransport",
     "ShardedTransport",
-    "ThreadedTransport",
     "ProcessScorerHost",
     "ProcessScorerError",
     "ensure_weight_store",

@@ -3,9 +3,8 @@
 The dispatch layer of the three-layer gateway split: given a method, a
 path, and a raw body, :class:`GatewayDispatcher` routes to an endpoint
 handler and returns ``(status, payload, extra headers)``.  It never
-touches a socket or an HTTP byte — both the selector transport and the
-threaded fallback feed it the same way, which is what pins behavioral
-parity between the two front-ends.
+touches a socket or an HTTP byte, so the selector transport (and each
+of its shards) feeds it framed requests and writes back what it returns.
 
 Every endpoint handler returns a JSON-safe dict or raises
 :class:`ApiError` (4xx for client mistakes); anything else escaping a
@@ -62,7 +61,7 @@ def _require(payload: dict, key: str):
 def _as_array(value, dtype, field: str, ndim: int | None = None) -> np.ndarray:
     try:
         array = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise ApiError(400, "bad_request",
                        f"field {field!r} is not a valid array: {error}") from None
     if ndim is not None and array.ndim != ndim:
@@ -70,6 +69,33 @@ def _as_array(value, dtype, field: str, ndim: int | None = None) -> np.ndarray:
                        f"field {field!r} must be {ndim}-dimensional, "
                        f"got shape {array.shape}")
     return array
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
+def _contains_bool(value) -> bool:
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    if value and isinstance(value[0], list):
+        return any(_contains_bool(row) for row in value)
+    return bool in map(type, value)
+
+
+def _as_int_array(value, field: str, ndim: int | None = None) -> np.ndarray:
+    """Decode an id/token field: JSON integers within int64 only.
+
+    A float (``0.7``) would otherwise truncate to a different id, a bool
+    would pass as 0/1, and an integer past int64 would raise deep inside
+    numpy; each is a 400 instead.
+    """
+    array = _as_array(value, None, field, ndim)
+    if array.size and (array.dtype.kind != "i" or _contains_bool(value)):
+        raise ApiError(400, "bad_request",
+                       f"field {field!r} must hold integers in the int64 "
+                       f"range (no floats or booleans)")
+    return array.astype(np.int64, copy=False)
 
 
 class GatewayDispatcher:
@@ -251,7 +277,9 @@ class GatewayDispatcher:
         if not body:
             return {}
         try:
-            payload = json.loads(body)
+            # parse_constant: the NaN/Infinity literals are not JSON, and a
+            # non-finite feature would come back as a non-JSON score.
+            payload = json.loads(body, parse_constant=_reject_constant)
         except ValueError as error:
             raise ApiError(400, "bad_json", f"request body is not JSON: {error}") \
                 from None
@@ -315,8 +343,8 @@ class GatewayDispatcher:
         if not isinstance(sparse_raw, dict):
             raise ApiError(400, "bad_request", "'candidates.sparse' must map "
                            "feature name -> id list")
-        sparse = {name: _as_array(ids, np.int64, f"candidates.sparse.{name}",
-                                  ndim=1)
+        sparse = {name: _as_int_array(ids, f"candidates.sparse.{name}",
+                                      ndim=1)
                   for name, ids in sparse_raw.items()}
         batch = candidate_batch(numeric, sparse)
         if any(ids.shape[0] != len(batch) for ids in sparse.values()):
@@ -326,10 +354,11 @@ class GatewayDispatcher:
         self._validate_candidates(batch)
         query_tokens = payload.get("query_tokens")
         if query_tokens is not None:
-            query_tokens = _as_array(query_tokens, np.int64, "query_tokens")
+            query_tokens = _as_int_array(query_tokens, "query_tokens")
         query_lengths = payload.get("query_lengths")
         top_k = payload.get("top_k", 10)
-        if not isinstance(top_k, int) or top_k <= 0:
+        if not isinstance(top_k, int) or isinstance(top_k, bool) \
+                or top_k <= 0:
             raise ApiError(400, "bad_request", "'top_k' must be a positive integer")
         model = payload.get("model")
         version = payload.get("version")
@@ -363,7 +392,7 @@ class GatewayDispatcher:
         if self.service.classifier is None:
             raise ApiError(400, "no_classifier",
                            "this gateway serves no query classifier")
-        tokens = _as_array(_require(payload, "tokens"), np.int64, "tokens")
+        tokens = _as_int_array(_require(payload, "tokens"), "tokens")
         if tokens.ndim != 1:
             raise ApiError(400, "bad_request",
                            "'tokens' must be one query's token id list")

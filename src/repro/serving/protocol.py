@@ -15,10 +15,10 @@ malformed framing means the byte stream can no longer be trusted, so
 unlike an application-level :class:`~repro.serving.handlers.ApiError`
 the connection never survives one.
 
-The body-before-error ordering the threaded gateway pinned in PR 4 is
-structural here: a request object exists only once its body has been
-consumed from the stream, so a 4xx response can never leave an unread
-body behind to desync the next keep-alive request.
+The body-before-error ordering is structural here: a request object
+exists only once its body has been consumed from the stream, so a 4xx
+response can never leave an unread body behind to desync the next
+keep-alive request.
 
 :func:`encode_response` preserves the other PR 4 framing decision: every
 response is rendered into one ``bytes`` segment (status line, headers,
@@ -283,8 +283,7 @@ def encode_json(payload: dict) -> bytes:
     """Render a response payload as JSON bytes.
 
     ``_json_default`` (shared with checkpoint serialization) turns numpy
-    arrays/scalars into plain JSON values, exactly as the threaded
-    gateway always has.
+    arrays/scalars into plain JSON values.
     """
     return json.dumps(payload, default=_json_default).encode("utf-8")
 

@@ -8,30 +8,25 @@ most ``max_wait_ms`` for stragglers (measured on the paper tower: ≈54 µs/row
 at batch 1 vs ≈10 µs/row at batch 32 in float64 — the batching itself is a
 >3x per-row win before dtype even enters).
 
-Two front-ends share that machinery:
+:class:`ScorerPool` runs N workers, each owning its *own* score closure
+built by a caller-supplied factory (compiled plans are cheap; see
+:meth:`repro.models.base.RankingModel.make_scorer`).  A score function
+that is not thread-safe runs under ``ScorerPool(lambda: fn,
+num_workers=1)``, whose lone worker serializes access to it.  Collection
+is pipelined against scoring: a collector token lets exactly one worker
+assemble a micro-batch at a time (racing collectors would shred the
+queue into fragment batches and give up the amortization that justifies
+micro-batching), while the workers *holding finished batches* score
+concurrently.  One worker's coalescing wait therefore overlaps the
+others' scoring even on one core, and on multi-core BLAS the scoring
+itself parallelizes too.
 
-* :class:`BatchScorer` — one worker around one score function (the PR 3
-  API).  The single worker also serializes access to a compiled plan's
-  scratch buffers, which are not thread-safe.
-* :class:`ScorerPool` — N workers, each owning its *own* score closure
-  built by a caller-supplied factory (compiled plans are cheap; see
-  :meth:`repro.models.base.RankingModel.make_scorer`).  Collection is
-  pipelined against scoring: a collector token lets exactly one worker
-  assemble a micro-batch at a time (racing collectors would shred the
-  queue into fragment batches and give up the amortization that justifies
-  micro-batching), while the workers *holding finished batches* score
-  concurrently.  One worker's coalescing wait therefore overlaps the
-  others' scoring even on one core, and on multi-core BLAS the scoring
-  itself parallelizes too.
-
-The pool's micro-batch cap is **adaptive by default**: recomputed at
-collect time as ``clamp(ceil(backlog_rows / workers), min_batch_rows,
+The pool's micro-batch cap is **adaptive**: recomputed at collect time
+as ``clamp(ceil(backlog_rows / workers), min_batch_rows,
 max_batch_rows)``, so an idle pool scores immediately while a backed-up
 pool splits its backlog into per-worker shares — no hand-tuned
 per-deployment ``max_batch_rows`` required (see
 :meth:`ScorerPool._collect_cap` for why the divisor is the whole pool).
-Pass ``adaptive_batch=False`` to pin the static cap (what
-:class:`BatchScorer` does, preserving its PR 3 contract exactly).
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ import numpy as np
 from ..data.dataset import Batch
 from .faults import WorkerKilled
 
-__all__ = ["BatchScorer", "DeadlineExceeded", "PoolOverloaded", "ScorerPool",
+__all__ = ["DeadlineExceeded", "PoolOverloaded", "ScorerPool",
            "ScorerStats", "concat_batches", "latency_percentile"]
 
 
@@ -292,9 +287,9 @@ class _Worker:
         """Gather requests up to the row/wait budget into ``pending``;
         True means shut down.
 
-        The row cap is re-read from the pool every iteration: under the
-        adaptive policy it tracks the live backlog, so a queue that backs
-        up mid-collect widens this very batch instead of the next one.
+        The row cap is re-read from the pool every iteration: it tracks
+        the live backlog, so a queue that backs up mid-collect widens
+        this very batch instead of the next one.
 
         Deadline enforcement lives here: an entry whose deadline already
         passed is dropped — its future fails with
@@ -404,22 +399,18 @@ class ScorerPool:
         multi-core BLAS the scoring itself parallelizes.
     max_batch_rows:
         A worker flushes its pending micro-batch once it holds this many
-        rows.  Under the adaptive policy (the default) this is the upper
-        clamp; with ``adaptive_batch=False`` it is the fixed per-worker
-        cap (the PR 4 behavior, kept as the explicit override).
+        rows.  This is the adaptive cap's upper clamp.
     max_wait_ms:
         How long a worker waits for more requests after its first one
         before scoring what it has.  0 scores each request immediately
         (still micro-batched when the queue is backed up).
-    adaptive_batch:
-        When True, the collect cap is recomputed at collect time as
-        ``clamp(ceil(backlog_rows / workers), min_batch_rows,
+    min_batch_rows:
+        Adaptive lower clamp: the collect cap is recomputed at collect
+        time as ``clamp(ceil(backlog_rows / workers), min_batch_rows,
         max_batch_rows)`` — an idle pool scores small batches immediately
         (latency), a backed-up pool splits its backlog into per-worker
         shares (throughput), and no per-deployment ``max_batch_rows``
-        tuning is needed.
-    min_batch_rows:
-        Adaptive lower clamp: with backlog below this, a worker still
+        tuning is needed.  With backlog below this, a worker still
         waits out ``max_wait_ms`` for stragglers to coalesce, preserving
         the micro-batching win at light load.
     max_backlog_rows:
@@ -450,8 +441,7 @@ class ScorerPool:
 
     def __init__(self, scorer_factory, num_workers: int = 4,
                  max_batch_rows: int = 256, max_wait_ms: float = 2.0,
-                 name: str = "pool", adaptive_batch: bool = True,
-                 min_batch_rows: int = 8,
+                 name: str = "pool", min_batch_rows: int = 8,
                  max_backlog_rows: int | None = None,
                  fault_injector=None):
         if num_workers <= 0:
@@ -467,7 +457,6 @@ class ScorerPool:
         self.name = name
         self._max_batch_rows = int(max_batch_rows)
         self._max_wait = max_wait_ms / 1000.0
-        self._adaptive = bool(adaptive_batch)
         self._min_batch_rows = min(int(min_batch_rows), self._max_batch_rows)
         self._max_backlog_rows = (int(max_backlog_rows)
                                   if max_backlog_rows is not None else None)
@@ -518,12 +507,6 @@ class ScorerPool:
     def closed(self) -> bool:
         """True once :meth:`close` began; submissions will be refused."""
         return self._closed
-
-    @property
-    def adaptive_batch(self) -> bool:
-        """True when the collect cap follows the backlog instead of the
-        static ``max_batch_rows``."""
-        return self._adaptive
 
     @property
     def max_backlog_rows(self) -> int | None:
@@ -673,9 +656,8 @@ class ScorerPool:
     def _collect_cap(self, held_rows: int) -> int:
         """Row cap for the micro-batch being assembled right now.
 
-        Static policy: ``max_batch_rows``, unconditionally.  Adaptive
-        policy: split the outstanding work (rows already held + rows
-        still queued) into per-worker shares —
+        Split the outstanding work (rows already held + rows still
+        queued) into per-worker shares —
         ``cap = clamp(ceil(backlog / workers), min_batch_rows,
         max_batch_rows)``.
 
@@ -694,8 +676,6 @@ class ScorerPool:
         instead of sitting on ``max_wait_ms`` hoping to fill a maximal
         batch.
         """
-        if not self._adaptive:
-            return self._max_batch_rows
         with self._state_lock:
             backlog = self._backlog_rows
         outstanding = held_rows + max(backlog, 0)
@@ -852,28 +832,3 @@ class ScorerPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-class BatchScorer(ScorerPool):
-    """Single-worker micro-batching scorer around one score function.
-
-    The PR 3 API, kept both for callers that own a non-thread-safe score
-    closure (the lone worker serializes access to it) and as the baseline
-    :class:`ScorerPool` is benchmarked against.
-
-    Parameters
-    ----------
-    score_fn:
-        ``Batch -> (n,) scores``; typically a model's compiled
-        :meth:`~repro.models.base.RankingModel.score`.
-    max_batch_rows / max_wait_ms:
-        As for :class:`ScorerPool`.
-    """
-
-    def __init__(self, score_fn, max_batch_rows: int = 256,
-                 max_wait_ms: float = 2.0, name: str = "scorer"):
-        # Static cap: the PR 3 API promised "flush at max_batch_rows,
-        # wait max_wait_ms for stragglers" — keep that contract exact.
-        super().__init__(lambda: score_fn, num_workers=1,
-                         max_batch_rows=max_batch_rows,
-                         max_wait_ms=max_wait_ms, name=name,
-                         adaptive_batch=False)

@@ -5,7 +5,7 @@ classified into its sub/top category by the BiGRU classifier (§4.1), the
 top category selects which registered ranking model handles the traffic
 (per-category routing with a default fallback — the "category-dedicated
 model extraction" direction of the paper's conclusions), candidates are
-scored through that model's micro-batching :class:`BatchScorer`, and the
+scored through that model's micro-batching :class:`ScorerPool`, and the
 top-k items come back with scores and latency.
 """
 
@@ -92,16 +92,14 @@ class RankingService:
     max_batch_rows / max_wait_ms:
         Micro-batching knobs handed to each model's :class:`ScorerPool`.
     num_workers:
-        Scoring workers per model.  1 (the default) reproduces the PR 3
-        single-worker ``BatchScorer`` behavior; more workers score a
+        Scoring workers per model.  1 (the default) scores every batch on
+        one worker and one compiled plan; more workers score a
         model's micro-batches concurrently, each on its own compiled plan
         (``model.make_scorer()``), overlapping their coalescing waits.
-    adaptive_batch / min_batch_rows:
-        Micro-batch cap policy (see :class:`ScorerPool`): adaptive (the
-        default) recomputes the cap from the live backlog at collect
-        time, with ``max_batch_rows`` as the upper and ``min_batch_rows``
-        the lower clamp; ``adaptive_batch=False`` pins the static
-        per-worker cap.
+    min_batch_rows:
+        Lower clamp of the adaptive micro-batch cap (see
+        :class:`ScorerPool`), which is recomputed from the live backlog
+        at collect time with ``max_batch_rows`` as the upper clamp.
     max_backlog_rows:
         Per-pool admission bound, in rows.  A submission that would push
         a pool's backlog past this raises
@@ -171,8 +169,7 @@ class RankingService:
                  taxonomy: Taxonomy | None = None,
                  routing: dict[int, str] | None = None,
                  max_batch_rows: int = 256, max_wait_ms: float = 2.0,
-                 num_workers: int = 1, adaptive_batch: bool = True,
-                 min_batch_rows: int = 8,
+                 num_workers: int = 1, min_batch_rows: int = 8,
                  max_backlog_rows: int | None = None,
                  breaker_config: BreakerConfig | None = None,
                  spec: FeatureSpec | None = None,
@@ -197,7 +194,6 @@ class RankingService:
         self._max_batch_rows = max_batch_rows
         self._max_wait_ms = max_wait_ms
         self._num_workers = num_workers
-        self._adaptive_batch = adaptive_batch
         self._min_batch_rows = min_batch_rows
         self._max_backlog_rows = max_backlog_rows
         self._breaker_config = breaker_config
@@ -357,7 +353,6 @@ class RankingService:
                                     max_batch_rows=self._max_batch_rows,
                                     max_wait_ms=self._max_wait_ms,
                                     name=f"{entry.name}-v{entry.version}",
-                                    adaptive_batch=self._adaptive_batch,
                                     min_batch_rows=self._min_batch_rows,
                                     max_backlog_rows=self._max_backlog_rows,
                                     fault_injector=self.fault_injector)

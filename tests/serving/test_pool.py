@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import nn, serving
 from repro.models import build_model
-from repro.serving import (BatchScorer, ModelRegistry, PoolOverloaded,
+from repro.serving import (ModelRegistry, PoolOverloaded,
                            RankingService, ScorerPool, ScorerStats,
                            latency_percentile)
 
@@ -222,21 +222,14 @@ class TestAdaptiveCap:
     """The adaptive micro-batch policy: cap = clamp(ceil(backlog /
     workers), min_batch_rows, max_batch_rows), recomputed at collect
     time (every worker rejoins within one batch, so the fair share is
-    over the whole pool).  ScorerPool defaults to adaptive; BatchScorer
-    pins the PR 3 static contract."""
+    over the whole pool)."""
 
     def test_defaults(self, model):
+        """An idle pool with default knobs collects at the min clamp."""
         with ScorerPool(model.make_scorer, num_workers=2) as pool:
-            assert pool.adaptive_batch
-        with BatchScorer(model.score) as scorer:
-            assert not scorer.adaptive_batch    # PR 3 contract unchanged
-
-    def test_static_override_pins_max_batch_rows(self, model):
-        with ScorerPool(model.make_scorer, num_workers=2,
-                        max_batch_rows=64, adaptive_batch=False) as pool:
-            assert not pool.adaptive_batch
-            assert pool.current_batch_cap() == 64
-            assert pool._collect_cap(1000) == 64
+            assert pool.current_batch_cap() == 8
+        with ScorerPool(model.make_scorer, num_workers=1) as pool:
+            assert pool.current_batch_cap() == 8
 
     def test_cap_formula(self, model):
         """White-box: the clamp arithmetic over the live backlog."""
@@ -279,17 +272,8 @@ class TestAdaptiveCap:
                         min_batch_rows=8) as pool:
             started = time.monotonic()
             pool.score(batch)
-            adaptive_elapsed = time.monotonic() - started
-        with ScorerPool(model.make_scorer, num_workers=2,
-                        max_batch_rows=256, max_wait_ms=wait_ms,
-                        adaptive_batch=False) as pool:
-            started = time.monotonic()
-            pool.score(batch)
-            static_elapsed = time.monotonic() - started
-        # The static pool must wait out the full coalescing window; the
-        # adaptive pool answers as soon as the request meets its cap.
-        assert adaptive_elapsed < wait_ms / 1000.0 / 2
-        assert static_elapsed >= wait_ms / 1000.0 * 0.9
+            elapsed = time.monotonic() - started
+        assert elapsed < wait_ms / 1000.0 / 2
 
     def test_backlog_splits_across_workers(self, model, dataset):
         """The throughput half: a queued burst is coalesced into
@@ -324,7 +308,7 @@ class TestScorerStatsWindow:
     """Empty/low-sample latency semantics are pinned, not numpy accidents."""
 
     def test_empty_window_is_all_zeros(self, model):
-        with BatchScorer(model.score) as scorer:
+        with ScorerPool(lambda: model.score, num_workers=1) as scorer:
             stats = scorer.stats()
         assert stats.latency_samples == 0
         assert stats.mean_latency_ms == 0.0
@@ -334,7 +318,8 @@ class TestScorerStatsWindow:
         assert stats.throughput_rows_per_s == 0.0
 
     def test_single_sample_percentile_is_that_sample(self, model, dataset):
-        with BatchScorer(model.score, max_wait_ms=0.0) as scorer:
+        with ScorerPool(lambda: model.score, num_workers=1,
+                        max_wait_ms=0.0) as scorer:
             scorer.score(dataset.batch(np.arange(4)))
             stats = scorer.stats()
         assert stats.latency_samples == 1
@@ -449,17 +434,16 @@ class TestMicroBatchAssemblyProperties:
            num_workers=st.integers(min_value=1, max_value=4),
            max_batch_rows=st.integers(min_value=1, max_value=48),
            max_wait_ms=st.sampled_from([0.0, 0.5, 2.0]),
-           submitters=st.integers(min_value=1, max_value=4),
-           adaptive=st.booleans())
+           submitters=st.integers(min_value=1, max_value=4))
     def test_assembly_exact_and_conserved(self, model, dataset, sizes,
                                           num_workers, max_batch_rows,
-                                          max_wait_ms, submitters, adaptive):
+                                          max_wait_ms, submitters):
         requests = [dataset.batch(np.arange(i % 8, i % 8 + size))
                     for i, size in enumerate(sizes)]
         expected = [model.score(b) for b in requests]
         with ScorerPool(model.make_scorer, num_workers=num_workers,
                         max_batch_rows=max_batch_rows,
-                        max_wait_ms=max_wait_ms, adaptive_batch=adaptive) as pool:
+                        max_wait_ms=max_wait_ms) as pool:
             # Random-ish arrival: requests fan out over several submitter
             # threads, so enqueue order interleaves with worker collection.
             with ThreadPoolExecutor(max_workers=submitters) as executor:

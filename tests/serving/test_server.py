@@ -6,10 +6,8 @@ checkpoint directory, and every request goes over the wire through
 /healthz and /stats response schemas are pinned: they are the monitoring
 contract.
 
-The whole module is parametrized over **both connection backends** —
-the selector event loop and the threaded fallback serve the same
-protocol and dispatch layers, and this suite (including the hot-reload
-path) is what pins their behavioral parity.
+The gateway serves through the selector event-loop transport; the
+``backend`` fixture names it in every test id.
 """
 
 import json
@@ -25,7 +23,7 @@ from repro.querycat import QueryCategoryClassifier, QueryClassifierConfig
 from repro.serving import ServingClient, ServingError
 
 
-@pytest.fixture(scope="module", params=["selector", "threaded"])
+@pytest.fixture(scope="module", params=["selector"])
 def backend(request):
     return request.param
 
@@ -38,7 +36,7 @@ def model(dataset, taxonomy, tiny_model_config):
 
 @pytest.fixture(scope="module")
 def checkpoint_dir(model, dataset, taxonomy, log, tmp_path_factory, backend):
-    # Fresh directory per backend: the hot-reload test mutates it.
+    # Fresh directory: the hot-reload test mutates it.
     directory = tmp_path_factory.mktemp(f"gateway-ckpts-{backend}")
     serving.save_environment(directory, dataset.spec, taxonomy)
     serving.save_checkpoint(model, directory / "ranker", "adv-hsc-moe")
@@ -50,10 +48,9 @@ def checkpoint_dir(model, dataset, taxonomy, log, tmp_path_factory, backend):
 
 
 @pytest.fixture(scope="module")
-def server(checkpoint_dir, backend):
+def server(checkpoint_dir):
     server = serving.serve_from_directory(checkpoint_dir, port=0,
-                                          num_workers=2, max_wait_ms=0.5,
-                                          backend=backend)
+                                          num_workers=2, max_wait_ms=0.5)
     server.start()
     yield server
     server.close()
@@ -134,6 +131,45 @@ class TestRankEndpoint:
         with pytest.raises(ServingError) as excinfo:
             client.rank(batch.numeric, batch.sparse, top_k=0)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("case, kind", [
+        ("top_k_bool", "bad_request"),
+        ("float_id", "bad_request"),
+        ("bool_id", "bad_request"),
+        ("huge_id", "bad_request"),
+        ("float_query_token", "bad_request"),
+        ("nan_numeric", "bad_json"),
+        ("infinite_numeric", "bad_json"),
+    ])
+    def test_malformed_values_are_structured_400(self, server, dataset,
+                                                 case, kind):
+        """Values that would be coerced (a bool top_k, a float id), crash
+        (an id past int64) or come back as non-JSON scores (NaN and
+        Infinity literals) are client errors."""
+        row = dataset.batch(np.arange(1))
+        sparse = {name: ids.tolist() for name, ids in row.sparse.items()}
+        numeric = row.numeric.tolist()
+        body = {"candidates": {"numeric": numeric, "sparse": sparse},
+                "top_k": 1}
+        first = next(iter(sparse))
+        if case == "top_k_bool":
+            body["top_k"] = True
+        elif case == "float_id":
+            sparse[first] = [0.7]
+        elif case == "bool_id":
+            sparse[first] = [True]
+        elif case == "huge_id":
+            sparse[first] = [2 ** 70]
+        elif case == "float_query_token":
+            body["query_tokens"] = [1.5, 2.0]
+        else:
+            numeric[0][0] = float("nan" if case == "nan_numeric" else "inf")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _raw_post(server.url, "/rank", json.dumps(body).encode())
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == kind
+        assert error["message"]
 
     def test_worker_survives_bad_requests(self, client, model, batch):
         """A stream of malformed requests must never wedge the gateway:
@@ -270,7 +306,7 @@ class TestOperationalEndpoints:
 
     def test_stats_connection_counters_pinned(self, client, batch):
         """Gateway-level connection counters: schema and keep-alive
-        accounting are part of the monitoring contract on both backends."""
+        accounting are part of the monitoring contract."""
         before = client.stats()["server"]["connections"]
         assert set(before) == {"open", "accepted", "requests",
                                "keepalive_reuses", "in_flight"}
@@ -335,7 +371,7 @@ class TestHotReload:
         registry = serving.ModelRegistry()
         registry.register("ranker", model)
         service = serving.RankingService(registry, default_model="ranker")
-        server = serving.ServingServer(service, port=0, backend=backend)
+        server = serving.ServingServer(service, port=0)
         server.close()                  # bound but never served: must return
 
     def test_reload_without_checkpoint_dir_is_400(self, model, dataset, backend):
@@ -343,8 +379,7 @@ class TestHotReload:
         registry.register("ranker", model)
         service = serving.RankingService(registry, default_model="ranker",
                                          max_wait_ms=0.0)
-        with serving.ServingServer(service, port=0,
-                                   backend=backend).start() as bare:
+        with serving.ServingServer(service, port=0).start() as bare:
             bare_client = ServingClient(bare.url)
             bare_client.wait_ready(timeout_s=30)
             with pytest.raises(ServingError) as excinfo:

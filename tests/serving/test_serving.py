@@ -8,7 +8,7 @@ import pytest
 from repro import nn, serving
 from repro.models import build_model
 from repro.querycat import QueryCategoryClassifier, QueryClassifierConfig
-from repro.serving import (BatchScorer, ModelRegistry, RankingService,
+from repro.serving import (ModelRegistry, RankingService, ScorerPool,
                            candidate_batch, concat_batches)
 
 
@@ -171,15 +171,20 @@ class TestModelRegistry:
                                                   dataset.spec, taxonomy)
 
 
-class TestBatchScorer:
+def _single_worker(score_fn, **knobs) -> ScorerPool:
+    """A one-worker pool around a plain score function."""
+    return ScorerPool(lambda: score_fn, num_workers=1, **knobs)
+
+
+class TestSingleWorkerPool:
     def test_scores_match_direct(self, model, batch):
-        with BatchScorer(model.score, max_wait_ms=0.0) as scorer:
+        with _single_worker(model.score, max_wait_ms=0.0) as scorer:
             np.testing.assert_array_equal(scorer.score(batch), model.score(batch))
 
     def test_concurrent_requests_micro_batched(self, model, dataset):
         batches = [dataset.batch(np.arange(i, i + 5)) for i in range(40)]
         expected = [model.score(b) for b in batches]
-        with BatchScorer(model.score, max_batch_rows=64, max_wait_ms=20.0) as scorer:
+        with _single_worker(model.score, max_batch_rows=64, max_wait_ms=20.0) as scorer:
             futures = [scorer.submit(b) for b in batches]
             for future, want in zip(futures, expected):
                 np.testing.assert_allclose(future.result(timeout=10), want,
@@ -193,13 +198,13 @@ class TestBatchScorer:
         assert stats.max_latency_ms >= stats.mean_latency_ms > 0
 
     def test_submit_after_close_raises(self, model, batch):
-        scorer = BatchScorer(model.score)
+        scorer = _single_worker(model.score)
         scorer.close()
         with pytest.raises(RuntimeError):
             scorer.submit(batch)
 
     def test_close_completes_pending(self, model, batch):
-        scorer = BatchScorer(model.score, max_wait_ms=50.0)
+        scorer = _single_worker(model.score, max_wait_ms=50.0)
         future = scorer.submit(batch)
         scorer.close()
         np.testing.assert_array_equal(future.result(timeout=10), model.score(batch))
@@ -207,7 +212,7 @@ class TestBatchScorer:
     def test_exception_propagates_to_future(self, batch):
         def broken(_):
             raise RuntimeError("model exploded")
-        with BatchScorer(broken, max_wait_ms=0.0) as scorer:
+        with _single_worker(broken, max_wait_ms=0.0) as scorer:
             future = scorer.submit(batch)
             with pytest.raises(RuntimeError, match="model exploded"):
                 future.result(timeout=10)
@@ -215,7 +220,7 @@ class TestBatchScorer:
     def test_worker_survives_bad_requests(self, model, batch, dataset):
         """Merge failures and bad score shapes must fail the waiting
         futures, not kill the worker (which would hang later callers)."""
-        with BatchScorer(model.score, max_wait_ms=0.0) as scorer:
+        with _single_worker(model.score, max_wait_ms=0.0) as scorer:
             malformed = dataset.batch(np.arange(4))
             malformed.sparse = {"only_key": np.zeros(4, dtype=np.int64)}
             with pytest.raises(Exception):
@@ -224,13 +229,13 @@ class TestBatchScorer:
             np.testing.assert_array_equal(scorer.score(batch), model.score(batch))
 
     def test_worker_survives_scalar_score_fn(self, batch):
-        with BatchScorer(lambda b: np.float64(0.5), max_wait_ms=0.0) as scorer:
+        with _single_worker(lambda b: np.float64(0.5), max_wait_ms=0.0) as scorer:
             with pytest.raises(ValueError, match="shape"):
                 scorer.submit(batch).result(timeout=10)
 
     def test_many_threads_submit(self, model, dataset):
         results = {}
-        with BatchScorer(model.score, max_batch_rows=128, max_wait_ms=5.0) as scorer:
+        with _single_worker(model.score, max_batch_rows=128, max_wait_ms=5.0) as scorer:
             def submit(i):
                 results[i] = scorer.score(dataset.batch(np.arange(i, i + 3)))
             threads = [threading.Thread(target=submit, args=(i,)) for i in range(16)]
@@ -253,9 +258,9 @@ class TestBatchScorer:
 
     def test_invalid_knobs_rejected(self, model):
         with pytest.raises(ValueError):
-            BatchScorer(model.score, max_batch_rows=0)
+            _single_worker(model.score, max_batch_rows=0)
         with pytest.raises(ValueError):
-            BatchScorer(model.score, max_wait_ms=-1.0)
+            _single_worker(model.score, max_wait_ms=-1.0)
 
 
 class TestRankingService:
