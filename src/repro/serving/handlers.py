@@ -26,6 +26,7 @@ import json
 import math
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -37,8 +38,8 @@ from .breaker import CLOSED, HALF_OPEN, OPEN
 from .metrics import (PROMETHEUS_CONTENT_TYPE, LatencyHistogram,
                       render_enum_metric, render_histogram, render_metric)
 from .protocol import parse_deadline_ms
-from .scorer import DeadlineExceeded, PoolOverloaded
-from .service import RankingService, candidate_batch
+from .scorer import DeadlineExceeded, PoolOverloaded, chain
+from .service import RankingResponse, RankingService, candidate_batch
 
 __all__ = ["ApiError", "GatewayDispatcher"]
 
@@ -98,6 +99,63 @@ def _as_int_array(value, field: str, ndim: int | None = None) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+# Raised while scoring or classifying a request's own data (a missing
+# feature, a bad shape): a 400, never a 500.
+_CLIENT_DATA_ERRORS = (KeyError, ValueError, IndexError)
+
+
+def _query_arrays(tokens, lengths, tokens_field: str, lengths_field: str
+                  ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Decode query token ids and lengths: ``(tokens, lengths)``.
+
+    ``tokens`` is one query (1-D) or one query per row (2-D), never
+    empty.  ``lengths``, when given, holds one length per query row, each
+    in ``1..len(tokens)`` — a length past the padding or below 1 would
+    otherwise be clipped silently by the classifier.
+    """
+    if tokens is None:
+        if lengths is not None:
+            raise ApiError(400, "bad_request",
+                           f"{lengths_field!r} needs {tokens_field!r}")
+        return None, None
+    tokens = _as_int_array(tokens, tokens_field)
+    if tokens.ndim not in (1, 2) or tokens.shape[-1] < 1:
+        raise ApiError(400, "bad_request",
+                       f"field {tokens_field!r} must be a non-empty token "
+                       f"id list (or one list per query), got shape "
+                       f"{tokens.shape}")
+    if lengths is None:
+        return tokens, None
+    lengths = np.atleast_1d(_as_int_array(lengths, lengths_field))
+    rows = tokens.shape[0] if tokens.ndim == 2 else 1
+    width = tokens.shape[-1]
+    if lengths.shape != (rows,) or lengths.min() < 1 or lengths.max() > width:
+        raise ApiError(400, "bad_request",
+                       f"field {lengths_field!r} must hold one length per "
+                       f"query ({rows}), each in 1..{width}")
+    return tokens, lengths
+
+
+def _rank_payload(response: RankingResponse | Future) -> dict:
+    """JSON body of a ranking response (or of a settled pending one)."""
+    if isinstance(response, Future):
+        try:
+            response = response.result()
+        except _CLIENT_DATA_ERRORS as error:
+            raise ApiError(400, "bad_request", str(error)) from None
+    return {
+        "indices": response.indices,
+        "scores": response.scores,
+        "model_name": response.model_name,
+        "model_version": response.model_version,
+        "predicted_sc": response.predicted_sc,
+        "predicted_tc": response.predicted_tc,
+        "latency_ms": response.latency_ms,
+        "degraded": response.degraded,
+        "cached": response.cached,
+    }
+
+
 class GatewayDispatcher:
     """Route requests to endpoint handlers; own the request/error counters.
 
@@ -139,6 +197,11 @@ class GatewayDispatcher:
     # indistinguishable from a dead one.
     SHEDDABLE = {("POST", "/rank"), ("POST", "/classify")}
 
+    # Admin endpoints that block — checkpoint loads, scorer-process
+    # polls — run on one background thread so they never stall the event
+    # loop that answers everything else.
+    BACKGROUND = {("POST", "/reload"), ("GET", "/stats"), ("GET", "/metrics")}
+
     def __init__(self, service: RankingService,
                  spec: FeatureSpec | None = None,
                  taxonomy: Taxonomy | None = None,
@@ -161,13 +224,16 @@ class GatewayDispatcher:
         # cardinality attack on the metrics endpoint.
         self._histograms = {path: LatencyHistogram()
                             for _, path in self.ROUTES}
+        self._background = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="gateway-admin")
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self, method: str, path: str, body: bytes,
                  headers: dict | None = None,
-                 received_at: float | None = None) -> tuple[int, object, dict]:
+                 received_at: float | None = None
+                 ) -> tuple[int, object, dict] | Future:
         """Route one request: ``(status, payload, extra headers)``.
 
         ``payload`` is a JSON-safe dict for every endpoint except
@@ -175,6 +241,16 @@ class GatewayDispatcher:
         additions like ``Retry-After`` on a shed request.  Transport
         layers call this with the body already drained from the stream,
         so a 4xx can never desync keep-alive framing.
+
+        The answer is returned directly whenever it is ready on the
+        calling thread — a cache hit, any 4xx, a shed 429 or expired
+        504, ``/healthz``, ``/classify`` — so the event loop can write it
+        at once.  Two kinds of request return a
+        :class:`~concurrent.futures.Future` of that tuple instead, which
+        always resolves (never raises for a handler error): a ``/rank``
+        cache miss, settled by the scorer worker that scores it, and the
+        blocking admin routes (:attr:`BACKGROUND`), run on the
+        dispatcher's one background thread.
 
         ``headers`` (lowercased names) and ``received_at`` (the
         transport's :func:`time.monotonic` arrival stamp) are optional
@@ -190,15 +266,25 @@ class GatewayDispatcher:
             if budget_ms is not None:
                 anchor = received_at if received_at is not None else started
                 deadline = anchor + budget_ms / 1000.0
-        try:
-            return self._route(method, path, body, deadline)
-        finally:
-            histogram = self._histograms.get(path)
-            if histogram is not None and (method, path) in self.ROUTES:
-                histogram.observe(time.monotonic() - started)
+        if (method, path) in self.BACKGROUND:
+            result = self._background.submit(self._route, method, path, body,
+                                             deadline)
+        else:
+            result = self._route(method, path, body, deadline)
+        histogram = self._histograms.get(path)
+        if histogram is None or (method, path) not in self.ROUTES:
+            return result
+        if isinstance(result, Future):
+            # Observed at completion, not when dispatch returns.
+            result.add_done_callback(
+                lambda _: histogram.observe(time.monotonic() - started))
+        else:
+            histogram.observe(time.monotonic() - started)
+        return result
 
     def _route(self, method: str, path: str, body: bytes,
-               deadline: float | None = None) -> tuple[int, object, dict]:
+               deadline: float | None = None
+               ) -> tuple[int, object, dict] | Future:
         try:
             handler_name = self.ROUTES.get((method, path))
             if handler_name is None:
@@ -226,27 +312,47 @@ class GatewayDispatcher:
                 result = self.handle_rank(payload, deadline=deadline)
             else:
                 result = getattr(self, handler_name)(payload)
-            headers = {}
-            if isinstance(result, tuple):
-                result, headers = result
-            self._count(error=False)
-            return 200, result, headers
-        except PoolOverloaded as error:
+            if isinstance(result, Future):
+                return chain(result, self._settled)
+            return self._answer(result)
+        except Exception as error:      # never kill the serving thread
+            return self._error_answer(error)
+
+    def _answer(self, result) -> tuple[int, object, dict]:
+        """A handler's return value as a 200 response tuple."""
+        headers = {}
+        if isinstance(result, tuple):
+            result, headers = result
+        self._count(error=False)
+        return 200, result, headers
+
+    def _settled(self, done: Future) -> tuple[int, object, dict]:
+        """Continuation of a pending handler: its response tuple."""
+        try:
+            return self._answer(done.result())
+        except Exception as error:
+            return self._error_answer(error)
+
+    def _error_answer(self, error: Exception) -> tuple[int, dict, dict]:
+        """Map a handler failure to its structured error response."""
+        if isinstance(error, PoolOverloaded):
             # Admitted at the gate but lost the race to a concurrent
             # burst: the pool's own bound refused the submit.
             return self._shed(error.retry_after_s)
-        except DeadlineExceeded:
+        if isinstance(error, DeadlineExceeded):
             # Expired inside the scoring queue: a collector dropped it.
             return self._deadline_expired()
-        except ApiError as error:
-            self._count(error=True)
+        self._count(error=True)
+        if isinstance(error, ApiError):
             return error.status, {"error": {"type": error.kind,
                                             "message": str(error)}}, {}
-        except Exception as error:      # never kill the serving thread
-            self._count(error=True)
-            return 500, {"error": {
-                "type": "internal",
-                "message": f"{type(error).__name__}: {error}"}}, {}
+        return 500, {"error": {
+            "type": "internal",
+            "message": f"{type(error).__name__}: {error}"}}, {}
+
+    def close(self) -> None:
+        """Let a running admin request finish, then stop its thread."""
+        self._background.shutdown(wait=True)
 
     def _deadline_expired(self) -> tuple[int, dict, dict]:
         """Structured 504: the request's deadline passed before scoring."""
@@ -331,14 +437,13 @@ class GatewayDispatcher:
     # Endpoint handlers (return JSON-safe dicts; raise ApiError for 4xx)
     # ------------------------------------------------------------------
     def handle_rank(self, payload: dict,
-                    deadline: float | None = None) -> dict:
+                    deadline: float | None = None) -> dict | Future:
         candidates = _require(payload, "candidates")
         if not isinstance(candidates, dict):
             raise ApiError(400, "bad_request",
                            "'candidates' must be an object with "
                            "'numeric' and 'sparse'")
-        numeric = _as_array(_require(candidates, "numeric"), np.float64,
-                            "candidates.numeric")
+        numeric = self._numeric_array(_require(candidates, "numeric"))
         sparse_raw = candidates.get("sparse", {})
         if not isinstance(sparse_raw, dict):
             raise ApiError(400, "bad_request", "'candidates.sparse' must map "
@@ -352,10 +457,9 @@ class GatewayDispatcher:
                            "sparse feature lengths must match the number of "
                            f"candidate rows ({len(batch)})")
         self._validate_candidates(batch)
-        query_tokens = payload.get("query_tokens")
-        if query_tokens is not None:
-            query_tokens = _as_int_array(query_tokens, "query_tokens")
-        query_lengths = payload.get("query_lengths")
+        query_tokens, query_lengths = _query_arrays(
+            payload.get("query_tokens"), payload.get("query_lengths"),
+            "query_tokens", "query_lengths")
         top_k = payload.get("top_k", 10)
         if not isinstance(top_k, int) or isinstance(top_k, bool) \
                 or top_k <= 0:
@@ -373,41 +477,52 @@ class GatewayDispatcher:
         try:
             response = self.service.rank(
                 batch, query_tokens=query_tokens, query_lengths=query_lengths,
-                top_k=top_k, model=model, version=version, deadline=deadline)
-        except (KeyError, ValueError, IndexError) as error:
+                top_k=top_k, model=model, version=version, deadline=deadline,
+                wait=False)
+        except _CLIENT_DATA_ERRORS as error:
             raise ApiError(400, "bad_request", str(error)) from None
-        return {
-            "indices": response.indices,
-            "scores": response.scores,
-            "model_name": response.model_name,
-            "model_version": response.model_version,
-            "predicted_sc": response.predicted_sc,
-            "predicted_tc": response.predicted_tc,
-            "latency_ms": response.latency_ms,
-            "degraded": response.degraded,
-            "cached": response.cached,
-        }
+        if isinstance(response, Future):
+            return chain(response, _rank_payload)
+        return _rank_payload(response)
+
+    def _numeric_array(self, value) -> np.ndarray:
+        """Decode ``candidates.numeric``: finite, shape (rows >= 1, columns)."""
+        numeric = _as_array(value, np.float64, "candidates.numeric")
+        if numeric.ndim != 2 or numeric.shape[0] < 1:
+            columns = (self.spec.num_numeric if self.spec is not None
+                       else "num_numeric")
+            raise ApiError(400, "bad_request",
+                           f"field 'candidates.numeric' must have shape "
+                           f"(rows >= 1, {columns}), got shape "
+                           f"{numeric.shape}")
+        if not np.isfinite(numeric).all():
+            # An overflowing literal such as 1e400 decodes to inf without
+            # reaching parse_constant.
+            raise ApiError(400, "bad_request",
+                           "field 'candidates.numeric' must hold finite "
+                           "numbers")
+        return numeric
 
     def handle_classify(self, payload: dict) -> dict:
         if self.service.classifier is None:
             raise ApiError(400, "no_classifier",
                            "this gateway serves no query classifier")
-        tokens = _as_int_array(_require(payload, "tokens"), "tokens")
+        tokens, lengths = _query_arrays(_require(payload, "tokens"),
+                                        payload.get("lengths"),
+                                        "tokens", "lengths")
         if tokens.ndim != 1:
             raise ApiError(400, "bad_request",
                            "'tokens' must be one query's token id list")
-        lengths = payload.get("lengths")
         try:
             sc, tc = self.service.classify_query(tokens, lengths)
-        except (KeyError, ValueError, IndexError) as error:
+        except _CLIENT_DATA_ERRORS as error:
             raise ApiError(400, "bad_request", str(error)) from None
         result = {"sc": sc, "tc": tc}
         if payload.get("probs"):
-            token_matrix = tokens[None, :]
-            length_vec = np.asarray([lengths if lengths is not None
-                                     else tokens.shape[0]], dtype=np.int64)
+            length_vec = (lengths if lengths is not None
+                          else np.asarray([tokens.shape[0]], dtype=np.int64))
             result["probs"] = self.service.classifier.predict_proba(
-                token_matrix, length_vec)[0]
+                tokens[None, :], length_vec)[0]
         return result
 
     def handle_healthz(self, payload: dict) -> dict:

@@ -283,9 +283,12 @@ def encode_json(payload: dict) -> bytes:
     """Render a response payload as JSON bytes.
 
     ``_json_default`` (shared with checkpoint serialization) turns numpy
-    arrays/scalars into plain JSON values.
+    arrays/scalars into plain JSON values.  ``allow_nan=False`` keeps every
+    response strict JSON: a non-finite number raises ``ValueError``
+    instead of going out as a bare ``NaN``.
     """
-    return json.dumps(payload, default=_json_default).encode("utf-8")
+    return json.dumps(payload, default=_json_default,
+                      allow_nan=False).encode("utf-8")
 
 
 def encode_body(payload) -> tuple[bytes, str]:
@@ -307,12 +310,10 @@ def encode_head(status: int, content_length: int, keep_alive: bool = True,
                 extra_headers: dict | None = None) -> bytes:
     """Status line + headers (through the blank line), one ``bytes``.
 
-    Split from :func:`encode_body` so the selector transport can render
-    the (possibly expensive) body on a dispatch thread while the event
-    loop decides keep-alive — the loop is the only place that knows
-    whether a response is the connection's last (drain mode forces
-    ``Connection: close`` on final responses only).  ``extra_headers``
-    may override ``Content-Type``.
+    Split from :func:`encode_body` because the head is decided last: the
+    event loop is the only place that knows whether a response is the
+    connection's last (drain mode forces ``Connection: close`` on final
+    responses only).  ``extra_headers`` may override ``Content-Type``.
     """
     extra = dict(extra_headers or {})
     content_type = extra.pop("Content-Type", content_type)

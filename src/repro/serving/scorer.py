@@ -44,7 +44,7 @@ from ..data.dataset import Batch
 from .faults import WorkerKilled
 
 __all__ = ["DeadlineExceeded", "PoolOverloaded", "ScorerPool",
-           "ScorerStats", "concat_batches", "latency_percentile"]
+           "ScorerStats", "chain", "concat_batches", "latency_percentile"]
 
 
 class DeadlineExceeded(RuntimeError):
@@ -215,6 +215,29 @@ def _resolve(future: Future, result=None, error=None) -> bool:
     except Exception:
         return False                    # cancelled/raced future
     return True
+
+
+def chain(source: Future, continuation) -> Future:
+    """A future settled with ``continuation(source)`` once ``source`` is done.
+
+    The continuation runs on whichever thread completes ``source`` (a
+    scorer worker, for a pool future).  Whatever it raises becomes the
+    new future's exception, so the new future resolves exactly once even
+    when the continuation itself fails — a future that never resolves
+    would strand its caller forever.
+    """
+    settled: Future = Future()
+
+    def settle(done: Future) -> None:
+        try:
+            value = continuation(done)
+        except BaseException as error:
+            settled.set_exception(error)
+        else:
+            settled.set_result(value)
+
+    source.add_done_callback(settle)
+    return settled
 
 
 class _Worker:

@@ -104,9 +104,6 @@ class ServingServer:
         stalls mid-frame (slow loris) is answered with a 408 first.
     max_body_bytes:
         Request bodies beyond this answer with a structured 413.
-    dispatch_workers:
-        Threads running endpoint handlers (they block on scorer futures;
-        connection count is not bounded by this).
     drain_deadline_s:
         Bound on the graceful drain: on :meth:`close` (and on SIGTERM via
         :meth:`install_signal_handlers`) the gateway stops accepting and
@@ -133,7 +130,6 @@ class ServingServer:
                  idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  max_header_bytes: int = MAX_HEADER_BYTES,
-                 dispatch_workers: int = 8,
                  drain_deadline_s: float = 10.0,
                  gateway_shards: int = 1,
                  quantized: bool = False):
@@ -151,8 +147,7 @@ class ServingServer:
             quantized=quantized)
         transport_options = dict(
             counters=self.counters, idle_timeout_s=idle_timeout_s,
-            max_body_bytes=max_body_bytes, max_header_bytes=max_header_bytes,
-            dispatch_workers=dispatch_workers)
+            max_body_bytes=max_body_bytes, max_header_bytes=max_header_bytes)
         if gateway_shards > 1:
             self._transport = ShardedTransport(
                 host, port, self.dispatcher, shards=gateway_shards,
@@ -244,6 +239,7 @@ class ServingServer:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
+        self.dispatcher.close()
         self.service.close()
 
     def __enter__(self) -> "ServingServer":
@@ -262,7 +258,6 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                          default_model: str | None = None,
                          min_batch_rows: int = 8,
                          idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
-                         dispatch_workers: int = 8,
                          max_backlog_rows: int | None = 4096,
                          drain_deadline_s: float = 10.0,
                          breaker_config: BreakerConfig | None = None,
@@ -358,7 +353,6 @@ def serve_from_directory(checkpoint_dir: str | Path, host: str = "127.0.0.1",
                          checkpoint_dir=checkpoint_dir, spec=spec,
                          taxonomy=taxonomy,
                          idle_timeout_s=idle_timeout_s,
-                         dispatch_workers=dispatch_workers,
                          drain_deadline_s=drain_deadline_s,
                          gateway_shards=gateway_shards,
                          quantized=quantized)
@@ -422,8 +416,6 @@ def main(argv: list[str] | None = None) -> int:
                              "accepting on one port via SO_REUSEPORT "
                              "(dup()-shared acceptor fallback); hot reload "
                              "stays atomic across shards")
-    parser.add_argument("--dispatch-workers", type=int, default=8,
-                        help="threads running endpoint handlers")
     parser.add_argument("--max-batch-rows", type=int, default=256,
                         help="per-worker micro-batch row cap (the adaptive "
                              "policy's upper clamp)")
@@ -499,7 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         max_wait_ms=args.max_wait_ms, default_model=args.default_model,
         min_batch_rows=args.min_batch_rows,
         idle_timeout_s=args.idle_timeout,
-        dispatch_workers=args.dispatch_workers,
         max_backlog_rows=args.max_backlog_rows or None,
         drain_deadline_s=args.drain_deadline,
         breaker_config=BreakerConfig(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +27,11 @@ from .breaker import BreakerConfig, CircuitBreaker
 from .cache import ResultCache, canonical_key
 from .procscorer import ProcessScorerHost
 from .registry import ModelRegistry
-from .scorer import DeadlineExceeded, PoolOverloaded, ScorerPool, ScorerStats
+from .scorer import (DeadlineExceeded, PoolOverloaded, ScorerPool,
+                     ScorerStats, chain)
 
-__all__ = ["RankingService", "RankingResponse", "candidate_batch"]
+__all__ = ["NonFiniteScores", "RankingService", "RankingResponse",
+           "candidate_batch"]
 
 # Numeric features (by FeatureSpec name) the model-free degraded prior
 # prefers, in priority order: popularity/quality signals that rank
@@ -41,6 +44,31 @@ _PRIOR_FEATURES = ("historical_ctr", "log_sales", "brand_popularity",
 # breaker (see repro.serving.breaker).
 _BREAKER_EXEMPT = (PoolOverloaded, DeadlineExceeded, KeyError, ValueError,
                    IndexError)
+
+
+class NonFiniteScores(RuntimeError):
+    """The model returned NaN or infinite scores for a request.
+
+    A model failure, not a client error: the breaker counts it, the
+    result is never cached, and the gateway answers a structured 500.
+    """
+
+    def __init__(self, name: str, version: int):
+        super().__init__(f"model {name!r} v{version} returned non-finite "
+                         f"scores")
+
+
+def _record_verdict(breaker: CircuitBreaker | None,
+                    error: BaseException | None) -> None:
+    """Feed one scoring outcome to ``breaker`` (``None`` = success)."""
+    if breaker is None:
+        return
+    if error is None:
+        breaker.record_success()
+    elif isinstance(error, _BREAKER_EXEMPT):
+        breaker.abandon()               # no verdict on model health
+    else:
+        breaker.record_failure()
 
 
 def candidate_batch(numeric: np.ndarray, sparse: dict[str, np.ndarray]) -> Batch:
@@ -374,32 +402,33 @@ class RankingService:
             old_host.close()            # after the pool: no in-flight frames
         return scorer, entry.version
 
-    def _pooled_score(self, name: str, version: int | None, candidates: Batch,
-                      deadline: float | None = None) -> tuple[np.ndarray, int]:
-        """Resolve the pool and score, riding out hot-swap retirement.
+    def _submit_score(self, name: str, version: int | None, candidates: Batch,
+                      deadline: float | None = None) -> tuple[Future, int]:
+        """Resolve the pool and submit, riding out hot-swap retirement.
 
         A caller can lose the race with a hot swap: it resolves a pool,
         a concurrent request for a newer version retires and closes that
         pool, and the submit is refused.  Scoring is a pure function, so
         the fix is simply to re-resolve (the retired key is gone, so the
-        lookup now yields a live pool) and try again.
+        lookup now yields a live pool) and try again.  A pool closed
+        *after* the submit still completes it (see :meth:`ScorerPool.close`).
         """
         while True:
             scorer, resolved_version = self._scorer_for(name, version)
             try:
-                return scorer.score(candidates, deadline=deadline), \
+                return scorer.submit(candidates, deadline=deadline), \
                     resolved_version
             except RuntimeError:
                 if not scorer.closed:
-                    raise               # a model error, not the swap race
+                    raise               # overload/deadline, not the swap race
 
     def score(self, candidates: Batch, model: str | None = None,
               version: int | None = None,
               deadline: float | None = None) -> np.ndarray:
         """Micro-batched scores for ``candidates`` under a routed model."""
         name = self._select_model(None, model)
-        return self._pooled_score(name, version, candidates,
-                                  deadline=deadline)[0]
+        return self._submit_score(name, version, candidates,
+                                  deadline=deadline)[0].result()
 
     # ------------------------------------------------------------------
     # Circuit breaker + degraded fallback
@@ -463,7 +492,8 @@ class RankingService:
     def rank(self, candidates: Batch, query_tokens: np.ndarray | None = None,
              query_lengths: np.ndarray | int | None = None, top_k: int = 10,
              model: str | None = None, version: int | None = None,
-             deadline: float | None = None) -> RankingResponse:
+             deadline: float | None = None,
+             wait: bool = True) -> RankingResponse | Future:
         """Rank ``candidates`` for a query; returns the top-k best first.
 
         ``deadline`` (absolute :func:`time.monotonic`) propagates into the
@@ -472,7 +502,9 @@ class RankingService:
         burning model time.  With a breaker configured, model failures
         are recorded against the routed model's breaker, and while it is
         open the response comes from the degraded prior with
-        ``degraded=True`` instead of erroring.
+        ``degraded=True`` instead of erroring.  Non-finite model scores
+        are a model failure too (:class:`NonFiniteScores`): counted by
+        the breaker, never cached.
 
         With a result cache configured, a repeat of ``(routed model,
         live version, intent, candidate features)`` answers from the
@@ -483,13 +515,20 @@ class RankingService:
         ``top_k`` share one entry; degraded fallback answers are never
         stored (a healthy answer must not be shadowed by an outage's
         prior).
+
+        ``wait=False`` is the non-blocking form the gateway's event loop
+        uses: a cache hit or degraded answer still returns at once, but a
+        miss returns a :class:`~concurrent.futures.Future` of the
+        response.  Its continuation — breaker verdict, cache put, top-k —
+        runs on the scorer worker that resolves the pool future.  The
+        default blocking call waits on that same future.
         """
         started = time.monotonic()
         sc = tc = None
         if query_tokens is not None:
             sc, tc = self.classify_query(query_tokens, query_lengths)
         name = self._select_model(tc, model)
-        cache_key = feature_digest = None
+        feature_digest = None
         if self._cache is not None:
             feature_digest = canonical_key(candidates.numeric,
                                            candidates.sparse)
@@ -498,47 +537,52 @@ class RankingService:
             except KeyError:
                 live_version = None     # scoring will raise the same error
             if live_version is not None:
-                cache_key = (name, live_version, tc, feature_digest)
-                scores = self._cache.get(cache_key)
+                scores = self._cache.get((name, live_version, tc,
+                                          feature_digest))
                 if scores is not None:
                     return self._top_k_response(
                         scores, top_k, name, live_version, sc, tc, started,
                         cached=True)
-        degraded = False
         breaker = self._breaker_for(name)
         if breaker is not None and not breaker.allow():
-            scores = self._degraded_scores(candidates)
-            resolved_version = self._latest_known_version(name)
-            degraded = True
             with self._scorers_lock:
                 self._degraded_responses += 1
-        else:
+            return self._top_k_response(
+                self._degraded_scores(candidates), top_k, name,
+                self._latest_known_version(name), sc, tc, started,
+                degraded=True)
+        try:
+            scored, resolved_version = self._submit_score(
+                name, version, candidates, deadline=deadline)
+        except BaseException as error:
+            _record_verdict(breaker, error)
+            raise
+
+        def finish(done: Future) -> RankingResponse:
             try:
-                scores, resolved_version = self._pooled_score(
-                    name, version, candidates, deadline=deadline)
+                scores = done.result()
+                if not np.isfinite(scores).all():
+                    raise NonFiniteScores(name, resolved_version)
             except BaseException as error:
-                if breaker is not None:
-                    if isinstance(error, _BREAKER_EXEMPT):
-                        breaker.abandon()   # no verdict on model health
-                    else:
-                        breaker.record_failure()
+                _record_verdict(breaker, error)
                 raise
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                if self._cache is not None:
-                    # Store under the version that actually scored (which
-                    # can differ from the looked-up one if a reload won a
-                    # race in between) — an entry is only ever keyed by
-                    # the version that produced it, so stale hits are
-                    # structurally impossible.  Read-only copy: the hit
-                    # path hands this exact array back out.
-                    stored = np.array(scores, copy=True)
-                    stored.setflags(write=False)
-                    self._cache.put(
-                        (name, resolved_version, tc, feature_digest), stored)
-        return self._top_k_response(scores, top_k, name, resolved_version,
-                                    sc, tc, started, degraded=degraded)
+            _record_verdict(breaker, None)
+            if self._cache is not None:
+                # Store under the version that actually scored (which
+                # can differ from the looked-up one if a reload won a
+                # race in between) — an entry is only ever keyed by the
+                # version that produced it, so stale hits are
+                # structurally impossible.  Read-only copy: the hit path
+                # hands this exact array back out.
+                stored = np.array(scores, copy=True)
+                stored.setflags(write=False)
+                self._cache.put((name, resolved_version, tc, feature_digest),
+                                stored)
+            return self._top_k_response(scores, top_k, name, resolved_version,
+                                        sc, tc, started)
+
+        pending = chain(scored, finish)
+        return pending.result() if wait else pending
 
     def _top_k_response(self, scores: np.ndarray, top_k: int, name: str,
                         version: int, sc: int | None, tc: int | None,

@@ -8,13 +8,15 @@ framed by :mod:`repro.serving.protocol` and answered by a
 * :class:`SelectorTransport` — one event-loop thread multiplexes every
   connection through stdlib :mod:`selectors` (non-blocking
   accept/read/write, per-connection parser state machines, keep-alive
-  and idle-timeout reaping).  Completed requests are handed to a small
-  dispatch pool (whose threads block on the
-  :class:`~repro.serving.ScorerPool` futures — scoring stays on the
-  scorer workers) and finished responses come back through a completion
-  queue that wakes the loop.  A slow client therefore costs one buffer,
-  never a thread: the loop trickles its bytes out as the socket drains,
-  which is what lets the gateway hold hundreds of concurrent sockets.
+  and idle-timeout reaping).  The loop runs each completed request's
+  dispatch itself: a ready answer (a cache hit, any 4xx, ``/healthz``)
+  is encoded and written on the spot.  A pending one — a ``/rank`` miss
+  waiting on its :class:`~repro.serving.ScorerPool` future, or an admin
+  route on the dispatcher's background thread — comes back through a
+  completion queue that wakes the loop.  A slow client therefore costs
+  one buffer, never a thread: the loop trickles its bytes out as the
+  socket drains, which is what lets the gateway hold hundreds of
+  concurrent sockets.
 * :class:`ShardedTransport` — N selector loops accepting on one port
   (``--gateway-shards``), all driving the same dispatcher.
 
@@ -24,12 +26,14 @@ maintain and ``GET /stats`` reports.
 
 from __future__ import annotations
 
+import collections
+import functools
 import queue
 import selectors
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 
 from .handlers import GatewayDispatcher
 from .protocol import (MAX_BODY_BYTES, MAX_HEADER_BYTES, ProtocolError,
@@ -103,9 +107,9 @@ class GatewayCounters:
 class _Connection:
     """Per-socket state machine for the selector loop.
 
-    Owned by the event-loop thread; dispatch threads only ever read the
-    immutable :class:`Request` they were handed and push results onto
-    the completion queue, so no per-connection locking is needed.
+    Owned by the event-loop thread; a pending answer's completion only
+    pushes the connection onto the completion queue, so no
+    per-connection locking is needed.
     """
 
     __slots__ = ("sock", "parser", "out", "pending", "in_flight",
@@ -121,7 +125,8 @@ class _Connection:
         # Parsed-but-not-dispatched items, strictly in arrival order.  A
         # trailing ProtocolError rides the same queue so its error
         # response cannot jump ahead of responses the client is owed.
-        self.pending: list[Request | ProtocolError] = []
+        self.pending: collections.deque[Request | ProtocolError] = \
+            collections.deque()
         self.in_flight = False              # one dispatch at a time: responses
         self.requests_dispatched = 0        # stay in pipeline order
         self.last_activity = time.monotonic()
@@ -129,6 +134,12 @@ class _Connection:
         self.read_closed = False            # stream desynced: stop reading
         self.registered = True              # currently in the selector
         self.alive = True
+
+
+def _internal_error(error: BaseException) -> tuple[int, dict, dict]:
+    """Structured 500 for a failure no handler turned into a response."""
+    return 500, {"error": {"type": "internal",
+                           "message": f"{type(error).__name__}: {error}"}}, {}
 
 
 class SelectorTransport:
@@ -145,10 +156,6 @@ class SelectorTransport:
     max_body_bytes / max_header_bytes:
         Framing limits; violations answer structurally (413/431) and
         close, since the stream can no longer be trusted.
-    dispatch_workers:
-        Threads executing handlers (which block on scorer futures).
-        This caps in-flight *handler* concurrency, not connections —
-        idle keep-alive sockets cost nothing.
     """
 
     def __init__(self, host: str, port: int, dispatcher: GatewayDispatcher,
@@ -156,13 +163,10 @@ class SelectorTransport:
                  idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  max_header_bytes: int = MAX_HEADER_BYTES,
-                 dispatch_workers: int = 8,
                  listener: socket.socket | None = None,
                  reuse_port: bool = False):
         if idle_timeout_s <= 0:
             raise ValueError("idle_timeout_s must be positive")
-        if dispatch_workers <= 0:
-            raise ValueError("dispatch_workers must be positive")
         self.dispatcher = dispatcher
         self.counters = counters if counters is not None else GatewayCounters()
         self.idle_timeout_s = idle_timeout_s
@@ -183,14 +187,12 @@ class SelectorTransport:
             self._listener.listen(1024)
         self._listener.setblocking(False)
         self._selector = selectors.DefaultSelector()
-        # Self-pipe: dispatch threads finishing a response must wake the
-        # loop out of select() to get it written.
+        # Self-pipe: a pending answer resolving on another thread must
+        # wake the loop out of select() to get it written.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._completions: queue.Queue = queue.Queue()
-        self._executor = ThreadPoolExecutor(
-            max_workers=dispatch_workers, thread_name_prefix="gateway-dispatch")
         self._connections: set[_Connection] = set()
         self._shutdown_requested = threading.Event()
         self._drain_requested = threading.Event()
@@ -293,13 +295,6 @@ class SelectorTransport:
 
     def server_close(self) -> None:
         self._listener.close()
-        # Let in-flight dispatch finish instead of cancelling it: the
-        # previous wait=False/cancel_futures=True here reset accepted
-        # requests on every restart.  Waiting is bounded — the scorer
-        # pools are still alive at this point (ServingServer.close shuts
-        # the service down *after* the transport) and pool workers always
-        # resolve their futures, so no handler can block forever.
-        self._executor.shutdown(wait=True)
         self._selector.close()
         self._wake_r.close()
         self._wake_w.close()
@@ -421,98 +416,113 @@ class SelectorTransport:
             connection.pending.extend(error.completed)
             connection.pending.append(error)
             connection.read_closed = True
-            self._update_interest(connection)
             self._pump_dispatch(connection)
             return
         connection.pending.extend(requests)
         self._pump_dispatch(connection)
 
     def _pump_dispatch(self, connection: _Connection) -> None:
-        """Hand the connection's next request to the dispatch pool.
+        """Dispatch the connection's queued requests on the loop thread.
 
-        One in-flight handler per connection: pipelined requests are
+        One in-flight request per connection: pipelined requests are
         answered strictly in arrival order, so back-to-back requests in
-        one segment can never interleave their responses.
+        one segment can never interleave their responses.  Ready answers
+        are queued for writing at once and the next request follows; a
+        pending one parks the connection until its completion arrives
+        (see :meth:`_apply_completions`).  Iterative, not recursive, so a
+        long pipelined burst costs no stack.
         """
-        if connection.in_flight or connection.close_after_write \
-                or not connection.pending:
-            return
-        item = connection.pending.pop(0)
-        if isinstance(item, ProtocolError):
-            # Terminal by construction (reads stopped when it was queued):
-            # emit the structured error in turn, then close once written.
-            connection.out += encode_error(item.status, item.kind, str(item))
-            connection.close_after_write = True
-            self._update_interest(connection)
-            self._on_writable(connection)
-            return
-        connection.in_flight = True
-        reused = connection.requests_dispatched > 0
-        connection.requests_dispatched += 1
-        self.counters.dispatch_started()
-        self._executor.submit(self._run_handler, connection, item, reused)
-
-    def _run_handler(self, connection: _Connection, request: Request,
-                     reused: bool) -> None:
-        """Dispatch-pool job: compute the response body, enqueue, wake.
-
-        Only the *body* is rendered here — the head waits for the loop
-        thread (:meth:`_apply_completions`), which alone knows whether
-        this response must carry ``Connection: close`` (drain mode closes
-        each connection on its final response, but a pipelined request
-        already queued behind this one must still be answered first).
-        """
-        force_close = not request.keep_alive
-        try:
-            # Raw target: the dispatcher owns path normalization.
-            # received_at is
-            # the parser's off-the-wire stamp, so the deadline budget
-            # counts queueing inside the gateway (dispatch backlog,
-            # scorer queue) but not client-side send time.
-            status, payload, headers = self.dispatcher.dispatch(
-                request.method, request.target, request.body,
-                headers=request.headers, received_at=request.received_at)
-            body, content_type = encode_body(payload)
-        except BaseException as error:  # encoding failed: still must answer
-            status, headers = 500, {}
-            body, content_type = encode_body(
-                {"error": {"type": "internal",
-                           "message": f"{type(error).__name__}: {error}"}})
-            force_close = True
-        finally:
+        while not connection.in_flight and not connection.close_after_write \
+                and connection.pending:
+            item = connection.pending.popleft()
+            if isinstance(item, ProtocolError):
+                # Terminal by construction (reads stopped when it was
+                # queued): emit the structured error in turn, then close
+                # once written.
+                connection.out += encode_error(item.status, item.kind,
+                                               str(item))
+                connection.close_after_write = True
+                break
+            connection.in_flight = True
+            reused = connection.requests_dispatched > 0
+            connection.requests_dispatched += 1
+            force_close = not item.keep_alive
+            self.counters.dispatch_started()
+            try:
+                # Raw target: the dispatcher owns path normalization.
+                # received_at is the parser's off-the-wire stamp, so the
+                # deadline budget counts queueing inside the gateway but
+                # not client-side send time.
+                result = self.dispatcher.dispatch(
+                    item.method, item.target, item.body,
+                    headers=item.headers, received_at=item.received_at)
+            except Exception as error:  # a broken dispatcher: still answer
+                result = _internal_error(error)
+                force_close = True
+            if isinstance(result, Future):
+                result.add_done_callback(functools.partial(
+                    self._complete, connection, force_close, reused))
+                break
             self.counters.dispatch_finished()
-        self._completions.put((connection, status, body, content_type,
-                               headers, force_close, reused))
+            self._respond(connection, result, force_close, reused)
+        # Opportunistic write: the socket is almost always writable for
+        # a small JSON response, so skip a select() round trip.
+        self._on_writable(connection)
+
+    def _complete(self, connection: _Connection, force_close: bool,
+                  reused: bool, done: Future) -> None:
+        """Done-callback of a pending answer (any thread): enqueue, wake."""
+        self.counters.dispatch_finished()
+        self._completions.put((connection, done, force_close, reused))
         self._wake()
 
     def _apply_completions(self) -> None:
         while True:
             try:
-                (connection, status, body, content_type, headers,
-                 force_close, reused) = self._completions.get_nowait()
+                connection, done, force_close, reused = \
+                    self._completions.get_nowait()
             except queue.Empty:
                 return
             if not connection.alive:
                 continue                # client vanished while we scored
-            connection.in_flight = False
-            keep_alive = not force_close
-            if self._draining and not connection.pending \
-                    and not connection.parser.mid_request:
-                # The connection's last promised response: tell the
-                # client not to reuse the socket, so the drain converges
-                # instead of racing the client's next request forever.
-                keep_alive = False
-            connection.out += encode_head(
-                status, len(body), keep_alive=keep_alive,
-                content_type=content_type, extra_headers=headers) + body
-            connection.close_after_write |= not keep_alive
-            connection.last_activity = time.monotonic()
-            self.counters.request_served(reused=reused)
-            self._update_interest(connection)
+            try:
+                result = done.result()
+            except BaseException as error:  # a broken dispatcher: answer
+                result = _internal_error(error)
+                force_close = True
+            self._respond(connection, result, force_close, reused)
             self._pump_dispatch(connection)
-            # Opportunistic write: the socket is almost always writable
-            # for a small JSON response, so skip a select() round trip.
-            self._on_writable(connection)
+
+    def _respond(self, connection: _Connection, result: tuple,
+                 force_close: bool, reused: bool) -> None:
+        """Encode one answer onto the connection's outbound buffer.
+
+        Only the loop thread runs this: it alone knows whether the
+        response must carry ``Connection: close`` (drain mode closes each
+        connection on its final response, but a pipelined request
+        already queued behind this one must still be answered first).
+        """
+        status, payload, headers = result
+        try:
+            body, content_type = encode_body(payload)
+        except Exception as error:      # e.g. a non-finite number
+            status, payload, headers = _internal_error(error)
+            body, content_type = encode_body(payload)
+            force_close = True
+        connection.in_flight = False
+        keep_alive = not force_close
+        if self._draining and not connection.pending \
+                and not connection.parser.mid_request:
+            # The connection's last promised response: tell the client
+            # not to reuse the socket, so the drain converges instead of
+            # racing the client's next request forever.
+            keep_alive = False
+        connection.out += encode_head(
+            status, len(body), keep_alive=keep_alive,
+            content_type=content_type, extra_headers=headers) + body
+        connection.close_after_write |= not keep_alive
+        connection.last_activity = time.monotonic()
+        self.counters.request_served(reused=reused)
 
     def _on_writable(self, connection: _Connection) -> None:
         if not connection.out:
@@ -628,9 +638,9 @@ class ShardedTransport:
     model registry, scorer pools, and the result cache are shared, so a
     ``POST /reload`` is atomic across shards by construction — there is
     exactly one registry swap, and every shard's next request sees it
-    (or none does, when the reload is rejected).  Each shard gets its
-    own dispatch pool of ``dispatch_workers // shards`` threads so the
-    total handler concurrency matches the unsharded configuration.
+    (or none does, when the reload is rejected).  Each shard's loop runs
+    its own requests' dispatch; the scorer pools and the dispatcher's
+    admin thread are shared.
 
     The lifecycle surface mirrors :class:`SelectorTransport`;
     ``serve_forever`` runs shard 0 on the calling thread and the rest on
@@ -643,7 +653,6 @@ class ShardedTransport:
                  idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  max_header_bytes: int = MAX_HEADER_BYTES,
-                 dispatch_workers: int = 8,
                  force_dup_fallback: bool = False):
         if shards <= 0:
             raise ValueError("shards must be positive")
@@ -652,12 +661,10 @@ class ShardedTransport:
         self.idle_timeout_s = idle_timeout_s
         listeners, self.reuse_port = self._make_listeners(
             host, port, shards, allow_reuse_port=not force_dup_fallback)
-        per_shard_workers = max(1, dispatch_workers // shards)
         self._shards = [SelectorTransport(
             host, port, dispatcher, counters=self.counters,
             idle_timeout_s=idle_timeout_s, max_body_bytes=max_body_bytes,
-            max_header_bytes=max_header_bytes,
-            dispatch_workers=per_shard_workers, listener=listener)
+            max_header_bytes=max_header_bytes, listener=listener)
             for listener in listeners]
         self._threads: list[threading.Thread] = []
 

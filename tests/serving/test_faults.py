@@ -14,6 +14,7 @@ Three layers of coverage:
   acceptance checks end to end (the same checks CI gates on).
 """
 
+import json
 import threading
 import time
 
@@ -309,6 +310,8 @@ class _FlakyModel:
             raise RuntimeError("model exploded")
         if self.mode == "client":
             raise ValueError("bad candidate data")
+        if self.mode == "nan":
+            return np.full(len(batch), np.nan)
         return np.asarray(batch.numeric[:, 0], dtype=np.float64)
 
 
@@ -365,6 +368,36 @@ class TestDegradedFallback:
             snapshot = service.breaker_stats()["m"]
             assert snapshot["state"] == CLOSED
             assert snapshot["window_requests"] == 0
+
+    def test_non_finite_scores_are_a_500_breaker_failure_never_cached(self):
+        """A NaN score is a model failure: a structured 500 over the
+        dispatcher, one failure on the breaker, nothing cached."""
+        model = _FlakyModel()
+        registry = ModelRegistry()
+        registry.register("m", model)
+        with RankingService(
+                registry, default_model="m", max_wait_ms=0.0,
+                breaker_config=BreakerConfig(min_requests=100),
+                result_cache=serving.ResultCache(max_entries=8, ttl_s=60.0)
+        ) as service:
+            model.mode = "nan"
+            candidates = _rows(4)
+            body = json.dumps({"candidates": {
+                "numeric": candidates.numeric.tolist(),
+                "sparse": {name: ids.tolist()
+                           for name, ids in candidates.sparse.items()}}})
+            dispatcher = GatewayDispatcher(service)
+            try:
+                answer = dispatcher.dispatch("POST", "/rank", body.encode())
+                status, payload, _ = answer.result(timeout=10)
+            finally:
+                dispatcher.close()
+            assert status == 500
+            assert payload["error"]["type"] == "internal"
+            assert "non-finite" in payload["error"]["message"]
+            breaker = service.breaker_stats()["m"]
+            assert breaker["window_failures"] == breaker["window_requests"] == 1
+            assert service.cache_stats()["entries"] == 0
 
     def test_degraded_prior_override(self):
         model = _FlakyModel()

@@ -140,18 +140,31 @@ class TestRankEndpoint:
         ("float_query_token", "bad_request"),
         ("nan_numeric", "bad_json"),
         ("infinite_numeric", "bad_json"),
+        ("query_length_past_tokens", "bad_request"),
+        ("negative_query_length", "bad_request"),
+        ("overflowing_numeric", "bad_request"),
+        ("flat_numeric", "bad_request"),
+        ("empty_numeric", "bad_request"),
     ])
     def test_malformed_values_are_structured_400(self, server, dataset,
                                                  case, kind):
-        """Values that would be coerced (a bool top_k, a float id), crash
-        (an id past int64) or come back as non-JSON scores (NaN and
-        Infinity literals) are client errors."""
+        """Values that would be coerced (a bool top_k, a float id, a
+        query length past its tokens), crash (an id past int64), reach
+        the model as inf (an overflowing literal) or come back as
+        non-JSON scores (NaN and Infinity literals) are client errors,
+        and a misshapen numeric block is named as such."""
         row = dataset.batch(np.arange(1))
         sparse = {name: ids.tolist() for name, ids in row.sparse.items()}
         numeric = row.numeric.tolist()
         body = {"candidates": {"numeric": numeric, "sparse": sparse},
                 "top_k": 1}
         first = next(iter(sparse))
+        # Message fragment each newer case must carry.
+        expected = {"query_length_past_tokens": "query_lengths",
+                    "negative_query_length": "query_lengths",
+                    "overflowing_numeric": "finite",
+                    "flat_numeric": "(rows >= 1, ",
+                    "empty_numeric": "(rows >= 1, "}.get(case, "")
         if case == "top_k_bool":
             body["top_k"] = True
         elif case == "float_id":
@@ -162,14 +175,26 @@ class TestRankEndpoint:
             sparse[first] = [2 ** 70]
         elif case == "float_query_token":
             body["query_tokens"] = [1.5, 2.0]
+        elif case in ("query_length_past_tokens", "negative_query_length"):
+            body["query_tokens"] = [1, 2]
+            body["query_lengths"] = [50 if case.startswith("query") else -3]
+        elif case == "overflowing_numeric":
+            numeric[0][0] = "OVERFLOW"
+        elif case == "flat_numeric":
+            body["candidates"]["numeric"] = numeric[0]
+        elif case == "empty_numeric":
+            body["candidates"]["numeric"] = []
         else:
             numeric[0][0] = float("nan" if case == "nan_numeric" else "inf")
+        # json.dumps cannot write 1e400 (it overflows to inf on decode).
+        raw = json.dumps(body).encode().replace(b'"OVERFLOW"', b"1e400")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _raw_post(server.url, "/rank", json.dumps(body).encode())
+            _raw_post(server.url, "/rank", raw)
         assert excinfo.value.code == 400
         error = json.loads(excinfo.value.read())["error"]
         assert error["type"] == kind
         assert error["message"]
+        assert expected in error["message"]
 
     def test_worker_survives_bad_requests(self, client, model, batch):
         """A stream of malformed requests must never wedge the gateway:

@@ -10,7 +10,10 @@ server over raw sockets, plus unit coverage of the incremental
 
 import json
 import socket
+import sys
+import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -365,16 +368,13 @@ class TestEventLoopDoesNotSpin:
         unregistered), not registered for always-ready writes — that
         would spin the event loop at 100% CPU for the handler's whole
         runtime."""
-        import threading
-
         from repro.serving import SelectorTransport
 
-        release = threading.Event()
+        answer = Future()               # a slow scoring request
 
         class StubDispatcher:
             def dispatch(self, method, path, body, **context):
-                release.wait(10)        # a slow scoring request
-                return 200, {"ok": True}, {}
+                return answer
 
             def record_protocol_error(self):
                 pass
@@ -392,7 +392,7 @@ class TestEventLoopDoesNotSpin:
             cpu_before = time.process_time()
             time.sleep(0.6)
             cpu_used = time.process_time() - cpu_before
-            release.set()
+            answer.set_result((200, {"ok": True}, {}))
             reader = _ResponseReader(sock)
             assert reader.read_response()[0] == 200
             assert reader.read_response()[0] == 400
@@ -411,16 +411,13 @@ class TestEventLoopDoesNotSpin:
         select() must block indefinitely instead of waking on a timer.
         The old idle floor (``max(poll_interval, 0.05)``) woke the loop
         20x/s here; the wakeup counter pins the fix."""
-        import threading
-
         from repro.serving import SelectorTransport
 
-        release = threading.Event()
+        answer = Future()               # hold the request in flight
 
         class StubDispatcher:
             def dispatch(self, method, path, body, **context):
-                release.wait(10)        # hold the request in flight
-                return 200, {"ok": True}, {}
+                return answer
 
             def record_protocol_error(self):
                 pass
@@ -436,7 +433,7 @@ class TestEventLoopDoesNotSpin:
             before = transport.loop_wakeups
             time.sleep(1.0)             # nothing happens: loop must sleep
             quiet_wakeups = transport.loop_wakeups - before
-            release.set()
+            answer.set_result((200, {"ok": True}, {}))
             reader = _ResponseReader(sock)
             assert reader.read_response()[0] == 200
         finally:
@@ -448,6 +445,218 @@ class TestEventLoopDoesNotSpin:
         # covers stray scheduling artifacts).
         assert quiet_wakeups <= 3, \
             f"loop woke {quiet_wakeups} times with nothing to do"
+
+
+def _rank_request(batch, top_k: int = 3) -> bytes:
+    body = json.dumps({
+        "candidates": {"numeric": batch.numeric.tolist(),
+                       "sparse": {name: ids.tolist()
+                                  for name, ids in batch.sparse.items()}},
+        "top_k": top_k}).encode()
+    return (f"POST /rank HTTP/1.1\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+class _SlowModel:
+    """A ranker whose every score call takes ``delay_s`` first."""
+
+    def __init__(self, model, delay_s: float):
+        self._model = model
+        self.delay_s = delay_s
+
+    def score(self, batch):
+        time.sleep(self.delay_s)
+        return self._model.score(batch)
+
+
+def _cached_server(ranker) -> serving.ServingServer:
+    registry = serving.ModelRegistry()
+    registry.register("ranker", ranker)
+    service = serving.RankingService(
+        registry, default_model="ranker", num_workers=1, max_wait_ms=0.0,
+        result_cache=serving.ResultCache(max_entries=64, ttl_s=60.0))
+    server = serving.ServingServer(service, port=0).start()
+    ServingClient(server.url).wait_ready(timeout_s=30)
+    return server
+
+
+class TestRunToCompletion:
+    """The loop thread runs dispatch; the scorer pool is the only
+    thread boundary on the /rank path."""
+
+    def test_cache_hit_is_dispatched_and_written_on_the_loop_thread(
+            self, model, dataset):
+        server = _cached_server(model)
+        dispatched, written = [], []
+        dispatch, respond = (server.dispatcher.dispatch,
+                             server._transport._respond)
+
+        def recording_dispatch(*args, **kwargs):
+            result = dispatch(*args, **kwargs)
+            dispatched.append((threading.current_thread().name,
+                               isinstance(result, Future)))
+            return result
+
+        def recording_respond(*args, **kwargs):
+            written.append(threading.current_thread().name)
+            return respond(*args, **kwargs)
+
+        server.dispatcher.dispatch = recording_dispatch
+        server._transport._respond = recording_respond
+        sock = _connect(server)
+        try:
+            request = _rank_request(dataset.batch(np.arange(6)))
+            sock.sendall(request)
+            miss = _read_response(sock)
+            sock.sendall(request)
+            hit = _read_response(sock)
+        finally:
+            sock.close()
+            server.close()
+        assert miss[0] == hit[0] == 200
+        assert not miss[1]["cached"] and hit[1]["cached"]
+        assert hit[1]["scores"] == miss[1]["scores"]
+        # The miss waited on the scorer pool; the hit never left the
+        # serve_forever thread ("ServingServer"), from dispatch to write.
+        assert dispatched == [("ServingServer", True),
+                              ("ServingServer", False)]
+        assert written == ["ServingServer", "ServingServer"]
+
+    def test_slow_reload_does_not_delay_healthz(self, server):
+        release = threading.Event()
+        reload_threads = []
+
+        def slow_reload(payload):
+            reload_threads.append(threading.current_thread().name)
+            release.wait(10)
+            return {"registered": []}
+
+        server.dispatcher.handle_reload = slow_reload
+        admin, probe = _connect(server), _connect(server)
+        try:
+            admin.sendall(b"POST /reload HTTP/1.1\r\nContent-Length: 0"
+                          b"\r\n\r\n")
+            time.sleep(0.1)             # the reload is now in progress
+            started = time.monotonic()
+            probe.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            status, payload = _read_response(probe)
+            healthz_s = time.monotonic() - started
+            release.set()
+            reload_status, _ = _read_response(admin)
+        finally:
+            release.set()
+            del server.dispatcher.handle_reload
+            admin.close()
+            probe.close()
+        assert status == 200 and payload["status"] == "ok"
+        assert healthz_s < 1.0, f"/healthz waited {healthz_s:.2f}s on /reload"
+        assert reload_status == 200
+        assert reload_threads and reload_threads[0].startswith("gateway-admin")
+
+    def test_raising_continuation_answers_500_and_frees_the_connection(
+            self, model, dataset):
+        server = _cached_server(model)
+        service = server.service
+
+        def broken_top_k(*args, **kwargs):
+            raise RuntimeError("continuation failed")
+
+        service._top_k_response = broken_top_k
+        sock = _connect(server)
+        try:
+            sock.sendall(_rank_request(dataset.batch(np.arange(5))))
+            status, payload = _read_response(sock)
+            del service._top_k_response
+            # The same keep-alive connection is free for the next request.
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            next_status, _ = _read_response(sock)
+            in_flight = server.counters.snapshot()["in_flight"]
+        finally:
+            sock.close()
+            server.close()
+        assert status == 500
+        assert payload["error"]["type"] == "internal"
+        assert "continuation failed" in payload["error"]["message"]
+        assert next_status == 200
+        assert in_flight == 0
+
+    def test_pipelined_hit_behind_pending_miss_is_answered_second(
+            self, model, dataset):
+        slow = _SlowModel(model, delay_s=0.0)
+        server = _cached_server(slow)
+        warm = _rank_request(dataset.batch(np.arange(4)))
+        cold = _rank_request(dataset.batch(np.arange(4, 9)))
+        sock, probe = _connect(server), _connect(server)
+        try:
+            sock.sendall(warm)
+            assert _read_response(sock)[0] == 200   # now cached
+            slow.delay_s = 0.5
+            sock.sendall(cold + warm)               # miss, then hit
+            time.sleep(0.1)
+            started = time.monotonic()
+            probe.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_response(probe)[0] == 200
+            healthz_s = time.monotonic() - started
+            reader = _ResponseReader(sock)
+            first, second = reader.read_response(), reader.read_response()
+        finally:
+            sock.close()
+            probe.close()
+            server.close()
+        assert first[0] == second[0] == 200
+        assert not first[1]["cached"] and len(first[1]["indices"]) == 3
+        assert second[1]["cached"]
+        # The pending miss parked only its own connection.
+        assert healthz_s < 0.4, f"/healthz waited {healthz_s:.2f}s on a miss"
+
+
+    def test_concurrent_hits_and_misses_answer_every_request_once(
+            self, model, dataset):
+        """More client threads than cores mix cache hits with misses
+        that complete on scorer workers, under a tiny switch interval:
+        every request gets exactly one in-order answer and the gauges
+        settle (a lost completion would strand a connection in flight)."""
+        server = _cached_server(model)
+        requests = [_rank_request(dataset.batch(np.arange(i, i + 4)))
+                    for i in range(6)]
+        failures = []
+
+        def client(index: int) -> None:
+            sock = _connect(server)
+            reader = _ResponseReader(sock)
+            try:
+                for round_ in range(15):
+                    request = requests[(index + round_) % len(requests)]
+                    sock.sendall(request + request)     # pipelined pair
+                    first, second = (reader.read_response(),
+                                     reader.read_response())
+                    if first[0] != 200 or second[0] != 200 \
+                            or not second[1]["cached"] \
+                            or first[1]["scores"] != second[1]["scores"]:
+                        failures.append((index, round_, first, second))
+            except Exception as error:  # surfaced by the assert below
+                failures.append((index, repr(error)))
+            finally:
+                sock.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            alive = [thread for thread in threads if thread.is_alive()]
+        finally:
+            sys.setswitchinterval(interval)
+            counters = server.counters.snapshot()
+            server.close()
+        assert not alive
+        assert not failures, failures[:3]
+        assert counters["requests"] >= 8 * 15 * 2
+        assert counters["in_flight"] == 0
 
 
 class TestClientStaleSocketRetry:
