@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md §5 calls out.
+"""Ablation benches for paper-specified design details.
 
 Each ablation trains the combined model with one paper-specified detail
 switched to its naive alternative and reports the AUC delta:

@@ -1,4 +1,4 @@
-"""``repro.data`` — synthetic e-commerce search log (DESIGN.md §2 substitution).
+"""``repro.data`` — a synthetic stand-in for the paper's e-commerce search log.
 
 Pipeline: :func:`~repro.data.world.SyntheticWorld.generate` builds a catalog
 with planted category inhomogeneity; :func:`~repro.data.sessions.simulate_log`

@@ -1,7 +1,7 @@
 """Synthetic e-commerce product world.
 
 This is the substrate substituting for JD.com's proprietary catalog + search
-log (DESIGN.md §2).  The world plants the exact distributional phenomena the
+log.  The world plants the exact distributional phenomena the
 paper measures in §3:
 
 * **Feature-importance inhomogeneity (Fig. 2)** — every top-category (TC)

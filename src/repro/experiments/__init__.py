@@ -1,4 +1,4 @@
-"""``repro.experiments`` — one module per paper table/figure (DESIGN.md §4)."""
+"""``repro.experiments`` — one module per paper table/figure (see EXPERIMENTS.md)."""
 
 from . import (fig2, fig3, fig5, fig6, fig7, fig8, querycat_exp, table1,
                table2, table3, table5, table6)

@@ -2,7 +2,7 @@
 
 Every table/figure module builds on :func:`build_environment` (world → log →
 train/test datasets) and :func:`train_and_eval` (one model end to end).
-Three scales are provided (DESIGN.md §6):
+Three scales are provided (EXPERIMENTS.md records the DEFAULT results):
 
 * ``CI`` — seconds; used by the test suite and benchmark smoke runs.
 * ``DEFAULT`` — the scale the committed EXPERIMENTS.md numbers come from.

@@ -33,7 +33,8 @@ class ModelConfig:
     gate_include_numeric: bool = False
     input_features: tuple[str, ...] = DEFAULT_INPUT_FEATURES
     noisy_gating: bool = True
-    # Ablation switches (paper defaults True); see DESIGN.md §5.
+    # Ablation switches (paper defaults True); benchmarks/bench_ablation.py
+    # measures each one against its naive alternative.
     hsc_restrict_topk: bool = True
     adv_on_sigmoid: bool = True
     # MMoE only: number of task buckets.

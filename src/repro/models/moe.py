@@ -8,12 +8,18 @@ paper builds its model zoo (§5.1.3).  The combined objective is eq. (14):
 
 Implementation notes
 --------------------
-* Every expert is evaluated on every example (dense computation).  The
-  paper's top-K sparsity is a *serving* optimization; at reproduction scale
-  dense evaluation is faster in numpy and is anyway required by AdvLoss
-  (idle experts' outputs are part of the loss) and by the Fig. 8 case study.
-  The prediction itself uses only the top-K probabilities — non-selected
-  experts receive exactly zero weight from the masked softmax.
+* Training is dense: the Tensor forward evaluates every expert on every
+  example, because AdvLoss needs the idle experts' outputs (they are part
+  of the loss) and the Fig. 8 case study (:meth:`MoERanker.expert_scores`)
+  reports all of them.  The prediction itself uses only the top-K
+  probabilities — non-selected experts receive exactly zero weight from
+  the masked softmax.
+* Serving is sparse: the compiled scorer evaluates only the top-K experts
+  of each row through one packed
+  :class:`~repro.nn.infer.TopKExpertPlan` (K·rows tower rows instead of
+  N·rows), in f32 and int8 alike, and matches the dense forward to float
+  rounding.  The split-plan scorer (:meth:`MoERanker.make_split_scorer`)
+  stays dense.
 * Gradient routing (eq. 15-16) holds structurally; see
   :mod:`repro.models.regularizers`.
 """
@@ -27,8 +33,8 @@ from ..data.dataset import Batch
 from ..data.schema import FeatureSpec
 from ..hierarchy import Taxonomy
 from ..nn import functional as F
-from ..nn.infer import (PrefixMemo, SplitMLP, masked_softmax_array,
-                        sigmoid_array)
+from ..nn.infer import (PrefixMemo, SplitMLP, TopKExpertPlan,
+                        masked_softmax_array, sigmoid_array)
 from .base import FeatureEmbedder, ModelOutput, RankingModel
 from .config import ModelConfig
 from .gates import NoisyTopKGate
@@ -151,8 +157,10 @@ class MoERanker(RankingModel):
 
     def _build_scorer(self):
         """Compiled scoring: numpy gate (clean logits, eval semantics) +
-        compiled expert towers, mirroring the eval-mode forward exactly."""
-        experts = [expert.compiled() for expert in self.experts]
+        the packed top-K expert plan, which runs each row through only the
+        K experts its gate selected.  The unselected logits stay exact
+        zeros, so the eq. 8 sum matches the eval-mode forward."""
+        experts = TopKExpertPlan(self.experts)
         gate = self.inference_gate
         config = self.config
 
@@ -163,10 +171,7 @@ class MoERanker(RankingModel):
             clean = gate_in @ gate.weight.data
             mask = F.scatter_topk_mask(clean, gate.k)
             probs = masked_softmax_array(clean, mask, axis=1)
-            expert_logits = np.empty((x.shape[0], len(experts)), dtype=x.dtype)
-            for index, plan in enumerate(experts):
-                expert_logits[:, index] = plan(x).reshape(-1)
-            return sigmoid_array((probs * expert_logits).sum(axis=1))
+            return sigmoid_array((probs * experts(x, mask)).sum(axis=1))
         return score
 
     def make_split_scorer(self, prefix_memo: PrefixMemo | None = None):

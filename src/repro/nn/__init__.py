@@ -2,7 +2,7 @@
 
 A compact deep-learning framework (tensors with reverse-mode autodiff,
 layers, recurrent cells, losses, optimizers) sufficient to train every model
-in the paper on CPU.  See DESIGN.md §3 for the inventory.
+in the paper on CPU.  The Layout table in README.md maps the packages.
 """
 
 from . import functional, gradcheck, infer, init, losses, optim

@@ -43,6 +43,10 @@ Semantics
   compiles to the blocked int8→f32 matmul with f32 accumulation instead
   of the full-precision step; biases, activations, GRU and embedding
   steps stay float32.
+* **Top-K expert plan**: :class:`TopKExpertPlan` runs a bank of
+  same-shaped MLP experts on only the rows a top-K gate routed to each
+  one, packed into per-expert contiguous segments.  It serves the MoE
+  rankers' towers in both precisions.
 
 Numerics match the Tensor path operation for operation (same kernels, same
 evaluation order), so compiled scoring is bit-comparable to ``no_grad``
@@ -65,7 +69,7 @@ from .tensor import Tensor, _stable_sigmoid, no_grad
 
 __all__ = ["CompiledPlan", "BufferPool", "compile_module", "register_compiler",
            "softmax_array", "masked_softmax_array", "sigmoid_array",
-           "SplitMLP", "PrefixMemo"]
+           "TopKExpertPlan", "SplitMLP", "PrefixMemo"]
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +220,138 @@ def compile_module(module: Module) -> CompiledPlan:
     """Compile ``module`` into a :class:`CompiledPlan` (see module docs)."""
     pool = BufferPool()
     return CompiledPlan(module, _compile(module, pool), pool)
+
+
+# ----------------------------------------------------------------------
+# Top-K expert plan: each row runs through only the experts its gate chose
+# ----------------------------------------------------------------------
+class TopKExpertPlan:
+    """Packed mixture-of-experts towers: a row visits only its K experts.
+
+    A top-K gate gives each row exactly K experts with non-zero weight, and
+    the other N−K logits are multiplied by an exact zero.  This plan skips
+    them.  ``plan(x, mask)`` takes the ``(rows, N)`` boolean top-K mask and
+    lists the selected rows in expert order (``np.nonzero(mask.T)``), so each
+    expert owns one contiguous segment of a packed ``(K·rows, width)``
+    block.  Each tower layer runs one matmul per non-empty segment into that
+    block, followed by the bias and ReLU — the math of
+    :func:`_linear_relu_step` on row slices.  The first layer gathers its
+    segment's rows from ``x``; later layers read the segment in place.  The
+    last layer is scattered into a zero ``(rows, N)`` logit block, so
+    ``(probs * logits).sum(1)`` sums the same terms as dense evaluation,
+    but an unselected expert's weights are never read (a NaN there cannot
+    reach a score).
+
+    * Every tower is an :class:`MLP` of one shared architecture with a
+      single output unit.  Dropout is the identity, as in every plan.
+    * Weights are read live on each call, like :class:`CompiledPlan`.  A
+      Linear carrying a :class:`~repro.nn.quantize.QuantizedWeight` runs its
+      int8 matmul on the same segment views, so f32 and int8 share this
+      one path.  The quantized attribute is sampled at construction.
+    * Scratch is sized by the packed height K·rows, never by a segment, so
+      the pool holds the same buffers per batch size however rows route.
+    * The returned logit block is caller-owned; the plan is not
+      thread-safe (its scratch buffers are shared state).
+    """
+
+    def __init__(self, experts):
+        towers = [_tower_linears(expert) for expert in experts]
+        architectures = {tuple((linear.weight.shape, relu)
+                               for linear, relu in tower) for tower in towers}
+        if len(architectures) != 1:
+            raise ValueError("need one or more expert towers of one "
+                             "shared architecture")
+        if towers[0][-1][0].out_features != 1:
+            raise ValueError("expert towers must end in one output unit")
+        self.num_experts = len(towers)
+        self.pool = BufferPool()
+        self._first = towers[0][0][0]
+        self._layers = [
+            _packed_linear_step([tower[depth][0] for tower in towers],
+                                towers[0][depth][1], self.pool,
+                                gather=depth == 0)
+            for depth in range(len(towers[0]))]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameter dtype the towers compute in."""
+        return self._first.weight.data.dtype
+
+    def __call__(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        dtype = self.dtype
+        if np.issubdtype(x.dtype, np.floating) and x.dtype != dtype:
+            x = x.astype(dtype)
+        mask = np.asarray(mask, dtype=bool)
+        rows, experts = x.shape[0], self.num_experts
+        if mask.shape != (rows, experts):
+            raise ValueError(f"mask shape {mask.shape} does not match "
+                             f"({rows}, {experts})")
+        expert_ids, row_ids = np.nonzero(mask.T)
+        bounds = np.zeros(experts + 1, dtype=np.intp)
+        np.cumsum(mask.sum(axis=0), out=bounds[1:])
+        segments = [(expert, int(bounds[expert]), int(bounds[expert + 1]))
+                    for expert in range(experts)
+                    if bounds[expert] < bounds[expert + 1]]
+        h = x
+        for layer in self._layers:
+            h = layer(h, row_ids, segments)
+        logits = np.zeros((rows, experts), dtype=h.dtype)
+        logits[row_ids, expert_ids] = h[:, 0]
+        return logits
+
+
+def _tower_linears(module: Module) -> list[tuple[Linear, bool]]:
+    """An MLP tower as ``(linear, relu_after)`` pairs, Dropout dropped."""
+    if not isinstance(module, MLP):
+        raise TypeError(f"expert towers must be MLPs, got "
+                        f"{type(module).__name__}")
+    layers = []
+    for kind, sub in module._plan:
+        if isinstance(sub, Dropout):
+            continue
+        if not isinstance(sub, Linear):
+            raise ValueError(f"cannot pack a {type(sub).__name__} tower layer")
+        layers.append((sub, kind == "linear_relu"))
+    return layers
+
+
+def _packed_linear_step(linears: list[Linear], relu: bool, pool: BufferPool,
+                        gather: bool) -> Callable:
+    """One tower depth over the packed block: a matmul per expert segment.
+
+    Expert ``e``'s rows — ``h[row_ids[a:b]]`` when ``gather`` (the first
+    layer reads the unpacked input), else ``h[a:b]`` — are multiplied by its
+    own weight into ``out[a:b]`` (int8 experts through
+    ``QuantizedWeight.matmul_into``, the cast scratch shared by the
+    segments), then its bias is added in place.  Gathering one segment at a
+    time keeps the only K·rows-sized buffers at the towers' widths.  The
+    ReLU is elementwise, so it runs once over the whole block.
+    """
+    step = pool.reserve()
+    scratch_step = pool.reserve()
+    quantized = [getattr(linear, "quantized", None) for linear in linears]
+    first = linears[0]
+
+    def run(h, row_ids, segments):
+        out = pool.get(step, (row_ids.size, first.out_features),
+                       first.weight.data.dtype)
+        for expert, a, b in segments:
+            linear, qw = linears[expert], quantized[expert]
+            rows = h[row_ids[a:b]] if gather else h[a:b]
+            segment = out[a:b]
+            if qw is None:
+                np.matmul(rows, linear.weight.data, out=segment)
+            else:
+                scratch = pool.get(scratch_step, qw.scratch_shape(),
+                                   np.float32)
+                qw.matmul_into(rows, segment, scratch)
+            if linear.bias is not None:
+                segment += linear.bias.data
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        return out
+    return run
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ Once the model predicts the sub-categories for a given query, the
 top-categories are determined automatically via the category hierarchy."
 
 The human annotation step is replaced by construction: the synthetic query
-generator knows each query's true sub-category (DESIGN.md §2).
+generator knows each query's true sub-category (``QueryTable.sc_ids``,
+drawn by :func:`repro.data.sessions.simulate_log`).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ with the autograd reference path (``model.predict``): ≤1e-12 in float64,
 ≤1e-6 in float32, for every factory model and the BiGRU query classifier.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -47,9 +48,11 @@ class TestFactorySweep:
         assert fast.dtype == np.float32
         np.testing.assert_allclose(fast, reference, atol=1e-6)
 
-    def test_score_tracks_training(self, dataset, taxonomy, tiny_model_config, batch):
+    @pytest.mark.parametrize("name", ["dnn", "adv-hsc-moe"])
+    def test_score_tracks_training(self, name, dataset, taxonomy,
+                                   tiny_model_config, batch):
         """The cached scorer must see post-compile weight updates."""
-        model = _build("dnn", dataset, taxonomy, tiny_model_config, np.float64)
+        model = _build(name, dataset, taxonomy, tiny_model_config, np.float64)
         before = model.score(batch).copy()
         for param in model.parameters():
             param.data = param.data + 0.05
@@ -94,6 +97,85 @@ class TestFactorySweep:
             t.join()
         for i in range(24):
             np.testing.assert_array_equal(results[i], expected[i])
+
+
+MOE_NAMES = ("moe", "hsc-moe", "adv-moe", "adv-hsc-moe")
+PRECISIONS = [(np.float64, 1e-12), (np.float32, 1e-6)]
+
+
+def _topk_mask(model, batch):
+    """The gate's top-K mask from the dense eval-mode forward."""
+    return model.expert_scores(batch)[1]
+
+
+def _rows_skipping_an_expert(model, dataset):
+    """Rows none of which select the least-used expert, and that expert."""
+    mask = _topk_mask(model, dataset.batch(np.arange(96)))
+    expert = int(mask.sum(axis=0).argmin())
+    return np.flatnonzero(~mask[:, expert]), expert
+
+
+def _rows_sharing_one_expert_set(model, dataset):
+    """The rows whose gate picks the most common set of K experts."""
+    mask = _topk_mask(model, dataset.batch(np.arange(96)))
+    _, inverse, counts = np.unique(mask, axis=0, return_inverse=True,
+                                   return_counts=True)
+    return np.flatnonzero(inverse.reshape(-1) == counts.argmax())
+
+
+class TestTopKExpertPlan:
+    """The MoE scorer runs each row through only its K gated experts; it
+    must still match the dense Tensor forward (``predict``) at the parity
+    bounds, whatever the routing looks like."""
+
+    @pytest.mark.parametrize("dtype,atol", PRECISIONS)
+    @pytest.mark.parametrize("name", MOE_NAMES)
+    @pytest.mark.parametrize("case", ["k_equals_n", "skipped_expert",
+                                      "shared_experts", "one_row"])
+    def test_parity(self, case, name, dtype, atol, dataset, taxonomy,
+                    tiny_model_config):
+        config = tiny_model_config
+        if case == "k_equals_n":
+            config = dataclasses.replace(config, top_k=config.num_experts,
+                                         num_disagreeing=0)
+        model = _build(name, dataset, taxonomy, config, dtype)
+        data = dataset.astype(dtype)
+        if case == "skipped_expert":
+            rows, expert = _rows_skipping_an_expert(model, data)
+        elif case == "shared_experts":
+            rows = _rows_sharing_one_expert_set(model, data)
+        elif case == "one_row":
+            rows = np.array([7])
+        else:
+            rows = np.arange(96)
+        batch = data.batch(rows)
+        mask = _topk_mask(model, batch)
+        assert (mask.sum(axis=1) == config.top_k).all()
+        if case == "k_equals_n":
+            assert mask.all()
+        elif case == "skipped_expert":
+            assert rows.size > 1 and not mask[:, expert].any()
+        elif case == "shared_experts":
+            assert rows.size > 1 and (mask == mask[0]).all()
+        reference = model.predict(batch)
+        fast = model.score(batch)
+        assert fast.dtype == dtype and fast.shape == reference.shape
+        np.testing.assert_allclose(fast, reference, atol=atol)
+
+    @pytest.mark.parametrize("name", MOE_NAMES)
+    def test_unselected_expert_weights_are_never_read(
+            self, name, dataset, taxonomy, tiny_model_config):
+        """Dense evaluation multiplies an unselected expert's logit by an
+        exact zero, and 0·NaN is NaN; the packed plan never reads it."""
+        model = _build(name, dataset, taxonomy, tiny_model_config, np.float64)
+        rows, expert = _rows_skipping_an_expert(model, dataset)
+        batch = dataset.batch(rows)
+        before = model.score(batch).copy()
+        for param in model.experts[expert].parameters():
+            param.data = np.full_like(param.data, np.nan)
+        after = model.score(batch)
+        assert np.isfinite(after).all()
+        np.testing.assert_array_equal(after, before)
 
 
 class TestClassifierParity:

@@ -13,7 +13,9 @@ Layers covered:
   quantized checkpoint,
 * the gateway — ``quantized=True`` boots, answers, and reports the plan
   lane on ``/stats``,
-* model quality — NDCG/AUC at DEFAULT scale move ≤ 0.1% relative vs f32.
+* model quality — NDCG/AUC at DEFAULT scale move ≤ 0.1% relative vs f32,
+* the packed top-K expert plan — the int8 towers share it with f32 and
+  match the dense int8 expert loop to rounding level.
 """
 
 import json
@@ -23,7 +25,9 @@ import pytest
 
 from repro import serving
 from repro.models import build_model
-from repro.nn.quantize import is_quantized_serving
+from repro.nn import functional as F
+from repro.nn.infer import masked_softmax_array, sigmoid_array
+from repro.nn.quantize import is_quantized_serving, quantizable_weights
 from repro.serving import ModelRegistry, ProcessScorerHost
 from repro.serving.checkpoint import ensure_weight_store, load_model_shared
 from repro.serving.faults import FaultInjector
@@ -51,6 +55,22 @@ def quant_dir(f32_model, dataset, taxonomy, batch, tmp_path_factory):
     serving.save_checkpoint(f32_model, directory / "ranker", "adv-hsc-moe",
                             quantize=True, calibration_batch=batch)
     return directory
+
+
+def _dense_int8_scores(qmodel, batch):
+    """The dense expert loop: every compiled int8 tower on every row, the
+    logits weighted by the masked-softmax gate.  Returns the scores and
+    the gate's top-K mask."""
+    config, embedder = qmodel.config, qmodel.embedder
+    x = embedder.model_input_array(batch)
+    gate_in = embedder.gate_input_array(batch, config.gate_features,
+                                        config.gate_include_numeric)
+    clean = gate_in @ qmodel.inference_gate.weight.data
+    mask = F.scatter_topk_mask(clean, config.top_k)
+    probs = masked_softmax_array(clean, mask, axis=1)
+    logits = np.column_stack([expert.compiled()(x).reshape(-1)
+                              for expert in qmodel.experts])
+    return sigmoid_array((probs * logits).sum(axis=1)), mask
 
 
 class TestQuantizedCheckpoint:
@@ -314,6 +334,38 @@ class TestQuantizedGateway:
                                        for s in scorers.values())
         finally:
             server.close()
+
+
+class TestQuantizedTopKPlan:
+    """int8 towers run through the same packed top-K expert plan as f32."""
+
+    @pytest.fixture()
+    def qmodel(self, quant_dir, dataset, taxonomy):
+        return load_model_quantized(quant_dir / "ranker", dataset.spec,
+                                    taxonomy)
+
+    @pytest.fixture()
+    def spread_batch(self, dataset):
+        """Rows from many queries, so the gate routes to every expert."""
+        return dataset.batch(np.arange(0, len(dataset), 47))
+
+    def test_packed_plan_matches_dense_int8_plan(self, qmodel, spread_batch):
+        dense, mask = _dense_int8_scores(qmodel, spread_batch)
+        assert mask.any(axis=0).all()   # every expert's int8 segment runs
+        got = qmodel.score(spread_batch)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-6)
+
+    def test_nan_poisoned_f32_weights_are_never_read(self, qmodel,
+                                                     spread_batch):
+        """Hydration leaves NaN in every quantized Linear's f32 weight; a
+        plan that read one would return a NaN score."""
+        linears = list(quantizable_weights(qmodel).values())
+        assert linears and all(np.isnan(linear.weight.data).all()
+                               for linear in linears)
+        assert _dense_int8_scores(qmodel, spread_batch)[1].any(axis=0).all()
+        assert np.isfinite(qmodel.score(spread_batch)).all()
+        assert np.isfinite(qmodel.make_scorer()(spread_batch)).all()
 
 
 class TestQuantizedQuality:
